@@ -77,8 +77,8 @@ struct FleetBootOptions {
   size_t workers = 1;
   size_t rounds = 1;              // Each round boots every app once.
   Bytes memory = 512 * kMiB;
-  // false: Boot() + StartInit only — no fiber ever runs, which keeps the
-  // storm tsan-compatible. true: run each guest to quiescence (batch jobs
+  // false: Boot() + StartInit only — no fiber ever runs. true: run each
+  // guest to quiescence (batch jobs
   // must exit 0; servers parking in accept count as success).
   bool run_workload = false;
   // Drive each worker's shard through its own vmm::Supervisor instead of

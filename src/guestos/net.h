@@ -12,7 +12,6 @@
 #include <deque>
 #include <map>
 #include <memory>
-#include <set>
 #include <string>
 #include <vector>
 
@@ -26,10 +25,17 @@ enum class SockDomain { kInet, kInet6, kUnix, kPacket };
 enum class SockType { kStream, kDgram };
 enum class SockState { kCreated, kBound, kListening, kConnected, kClosed };
 
+class FileDescription;
+
+// An epoll instance. Its interest list maps each registered fd, in ascending
+// order, to the description it was registered with. As on Linux, an entry
+// lives until that description's last close, so after dup/fork it keeps
+// reporting the registered number; epoll_wait drops entries whose
+// description is gone.
 struct EpollInstance {
   explicit EpollInstance(Scheduler* sched) : wq(sched) {}
   WaitQueue wq;
-  std::set<int> watched_fds;  // fds in the owning process's table.
+  std::map<int, std::weak_ptr<FileDescription>> watched_fds;
 };
 
 class Socket {

@@ -105,7 +105,12 @@ class SyscallApi {
 
   // ---- Optional fd factories (Table 1 gates) --------------------------------------------------
   Result<int> EpollCreate1();
+  // EPOLL_CTL_ADD: EEXIST when `fd` is already registered with the
+  // description it refers to now.
   Status EpollCtlAdd(int epfd, int fd);
+  // EPOLL_CTL_DEL: ENOENT unless `fd` is registered with the description it
+  // refers to now.
+  Status EpollCtlDel(int epfd, int fd);
   Result<std::vector<int>> EpollWait(int epfd, int max_events, Nanos timeout = 0);
   Result<int> Eventfd(uint64_t initial = 0);
   Result<int> TimerfdCreate();
@@ -157,6 +162,8 @@ class SyscallApi {
   void ChargeTx(const std::shared_ptr<lupine::guestos::Socket>& peer_sock, Bytes bytes, SockDomain domain);
   static uint32_t PacketsFor(Bytes bytes);
 
+  // epoll_ctl(2) with EPOLL_CTL_ADD (add) or EPOLL_CTL_DEL.
+  Status EpollCtl(int epfd, int fd, bool add);
   Result<std::shared_ptr<FileDescription>> LookupFd(int fd);
   Status CheckEnabled(kbuild::Sys nr) const;
   bool CurrentIsFree() const;

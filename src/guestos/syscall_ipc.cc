@@ -42,6 +42,44 @@ Result<int> SyscallApi::FutexWake(const int* word, int count) {
 // Epoll and the other optional fd factories (Table 1 gates).
 // ---------------------------------------------------------------------------
 
+namespace {
+
+bool Readable(const FileDescription& file) {
+  switch (file.kind) {
+    case FdKind::kSocket:
+      return file.socket->Readable();
+    case FdKind::kPipeRead:
+      return !file.pipe->data.empty() || file.pipe->write_closed;
+    case FdKind::kEventfd:
+      return file.counter > 0;
+    default:
+      return false;
+  }
+}
+
+bool Watches(const std::weak_ptr<EpollInstance>& watcher,
+             const std::shared_ptr<EpollInstance>& epoll) {
+  return watcher.lock() == epoll;
+}
+
+// Stops the socket behind `file`, if any, waking `epoll` unless another live
+// entry still registers that socket.
+void Unwatch(const std::shared_ptr<EpollInstance>& epoll, const FileDescription& file) {
+  if (file.kind != FdKind::kSocket) {
+    return;
+  }
+  for (const auto& [fd, entry] : epoll->watched_fds) {
+    auto other = entry.lock();
+    if (other != nullptr && other->socket == file.socket) {
+      return;
+    }
+  }
+  std::erase_if(file.socket->watchers,
+                [&](const auto& watcher) { return Watches(watcher, epoll); });
+}
+
+}  // namespace
+
 Result<int> SyscallApi::EpollCreate1() {
   Scope scope(this, Sys::kEpollCreate1);
   if (!scope.ok()) {
@@ -58,7 +96,11 @@ Result<int> SyscallApi::EpollCreate1() {
   return p->InstallFd(file);
 }
 
-Status SyscallApi::EpollCtlAdd(int epfd, int fd) {
+Status SyscallApi::EpollCtlAdd(int epfd, int fd) { return EpollCtl(epfd, fd, /*add=*/true); }
+
+Status SyscallApi::EpollCtlDel(int epfd, int fd) { return EpollCtl(epfd, fd, /*add=*/false); }
+
+Status SyscallApi::EpollCtl(int epfd, int fd, bool add) {
   Scope scope(this, Sys::kEpollCtl);
   if (!scope.ok()) {
     return scope.status();
@@ -75,9 +117,32 @@ Status SyscallApi::EpollCtlAdd(int epfd, int fd) {
     return target.status();
   }
   ChargeKernel(k_->costs().work_epoll_ctl);
-  ep.value()->epoll->watched_fds.insert(fd);
-  if (target.value()->kind == FdKind::kSocket) {
-    target.value()->socket->watchers.push_back(ep.value()->epoll);
+  const auto& epoll = ep.value()->epoll;
+  const auto& file = target.value();
+  auto it = epoll->watched_fds.find(fd);
+  auto registered = it == epoll->watched_fds.end() ? nullptr : it->second.lock();
+  if (!add) {
+    if (registered != file) {
+      return Status(Err::kNoEnt, "fd " + std::to_string(fd) + " not registered");
+    }
+    epoll->watched_fds.erase(it);
+    Unwatch(epoll, *file);
+    return Status::Ok();
+  }
+  if (registered == file) {
+    return Status(Err::kExist, "fd " + std::to_string(fd) + " already registered");
+  }
+  // Any entry left under this number belongs to a description the fd no
+  // longer refers to (closed, and the number handed out again): replace it.
+  // Linux would keep both entries; this interest list holds one per number.
+  epoll->watched_fds.insert_or_assign(fd, file);
+  if (registered != nullptr) {
+    Unwatch(epoll, *registered);
+  }
+  if (file->kind == FdKind::kSocket &&
+      std::none_of(file->socket->watchers.begin(), file->socket->watchers.end(),
+                   [&](const auto& watcher) { return Watches(watcher, epoll); })) {
+    file->socket->watchers.push_back(epoll);
   }
   return Status::Ok();
 }
@@ -94,36 +159,23 @@ Result<std::vector<int>> SyscallApi::EpollWait(int epfd, int max_events, Nanos t
   if (ep.value()->kind != FdKind::kEpoll) {
     return Status(Err::kInval, "epoll_wait on non-epoll fd");
   }
-  Process* p = CurrentProcess();
   auto& epoll = *ep.value()->epoll;
 
   for (;;) {
     std::vector<int> ready;
-    for (int fd : epoll.watched_fds) {
-      auto file = p->GetFd(fd);
+    for (auto it = epoll.watched_fds.begin(); it != epoll.watched_fds.end();) {
+      auto file = it->second.lock();
       if (file == nullptr) {
+        it = epoll.watched_fds.erase(it);  // The description's last close.
         continue;
       }
-      bool is_ready = false;
-      switch (file->kind) {
-        case FdKind::kSocket:
-          is_ready = file->socket->Readable();
-          break;
-        case FdKind::kPipeRead:
-          is_ready = !file->pipe->data.empty() || file->pipe->write_closed;
-          break;
-        case FdKind::kEventfd:
-          is_ready = file->counter > 0;
-          break;
-        default:
-          break;
-      }
-      if (is_ready) {
-        ready.push_back(fd);
+      if (Readable(*file)) {
+        ready.push_back(it->first);
         if (static_cast<int>(ready.size()) >= max_events) {
           break;
         }
       }
+      ++it;
     }
     ChargeKernel(k_->costs().work_epoll_wait);
     if (!ready.empty()) {

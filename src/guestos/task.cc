@@ -9,28 +9,40 @@ Process::Process(int pid, int ppid, std::shared_ptr<AddressSpace> aspace, std::s
     : pid_(pid), ppid_(ppid), aspace_(std::move(aspace)), name_(std::move(name)) {}
 
 int Process::InstallFd(std::shared_ptr<FileDescription> file) {
-  int fd = next_fd_++;
+  size_t fd = 3;
+  while (fd < fds_.size() && fds_[fd] != nullptr) {
+    ++fd;
+  }
+  if (fd >= fds_.size()) {
+    fds_.resize(fd + 1);
+  }
   fds_[fd] = std::move(file);
-  return fd;
+  return static_cast<int>(fd);
 }
 
 std::shared_ptr<FileDescription> Process::GetFd(int fd) const {
-  auto it = fds_.find(fd);
-  return it == fds_.end() ? nullptr : it->second;
+  if (fd < 0 || static_cast<size_t>(fd) >= fds_.size()) {
+    return nullptr;
+  }
+  return fds_[fd];
 }
 
-bool Process::CloseFd(int fd) { return fds_.erase(fd) > 0; }
-
-void Process::CloneFdTableFrom(const Process& parent) {
-  fds_ = parent.fds_;
-  next_fd_ = parent.next_fd_;
+bool Process::CloseFd(int fd) {
+  if (fd < 0 || static_cast<size_t>(fd) >= fds_.size() || fds_[fd] == nullptr) {
+    return false;
+  }
+  fds_[fd].reset();
+  return true;
 }
+
+void Process::CloneFdTableFrom(const Process& parent) { fds_ = parent.fds_; }
 
 std::vector<std::shared_ptr<FileDescription>> Process::TakeAllFds() {
   std::vector<std::shared_ptr<FileDescription>> files;
-  files.reserve(fds_.size());
-  for (auto& [fd, file] : fds_) {
-    files.push_back(std::move(file));
+  for (auto& file : fds_) {
+    if (file != nullptr) {
+      files.push_back(std::move(file));
+    }
   }
   fds_.clear();
   return files;

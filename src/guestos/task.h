@@ -62,11 +62,11 @@ class Process {
   const std::shared_ptr<AddressSpace>& aspace_ptr() const { return aspace_; }
   void set_aspace(std::shared_ptr<AddressSpace> aspace) { aspace_ = std::move(aspace); }
 
-  // File descriptor table.
+  // File descriptor table. InstallFd takes the lowest free number >= 3
+  // (POSIX; 0-2 are the console's stdio).
   int InstallFd(std::shared_ptr<FileDescription> file);
   std::shared_ptr<FileDescription> GetFd(int fd) const;
   bool CloseFd(int fd);
-  size_t OpenFdCount() const { return fds_.size(); }
   // Removes and returns every open descriptor (process teardown).
   std::vector<std::shared_ptr<FileDescription>> TakeAllFds();
   // fork(): the child shares file descriptions with the parent.
@@ -107,8 +107,7 @@ class Process {
   int ppid_;
   std::shared_ptr<AddressSpace> aspace_;
   std::string name_;
-  std::map<int, std::shared_ptr<FileDescription>> fds_;
-  int next_fd_ = 3;  // 0/1/2 reserved for stdio.
+  std::vector<std::shared_ptr<FileDescription>> fds_;  // Indexed by fd; null = free.
 };
 
 }  // namespace lupine::guestos

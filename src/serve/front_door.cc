@@ -466,9 +466,7 @@ Result<ServeResult> RunServing(core::KernelCache& cache, core::SnapshotCache& sn
     sched_options.workers = std::max<size_t>(1, options.workers);
     sched_options.stealing = true;
     WorkStealingScheduler scheduler(sched_options);
-    WarmPool pool;
-    pool.set_metrics(options.metrics);
-    pool.set_journal(options.journal);
+    // Declared before the pool: ~WarmPool releases parked grants into it.
     std::unique_ptr<vmm::FleetAdmissionController> admission;
     if (options.host_budget > 0) {
       admission = std::make_unique<vmm::FleetAdmissionController>(
@@ -476,6 +474,9 @@ Result<ServeResult> RunServing(core::KernelCache& cache, core::SnapshotCache& sn
       admission->set_metrics(options.metrics);
       admission->set_journal(options.journal);
     }
+    WarmPool pool;
+    pool.set_metrics(options.metrics);
+    pool.set_journal(options.journal);
     std::atomic<size_t> x_warm{0};
     std::atomic<size_t> x_restore{0};
     std::atomic<size_t> x_cold{0};

@@ -33,8 +33,8 @@
 //      warm-planned request depends on the k-th refill, so a warm take
 //      finds its guest by construction; any mismatch counts as a
 //      divergence instead of corrupting the figures. Bodies never run
-//      guest fibers (boot/restore only), which keeps the storm suites
-//      tsan-compatible. Execution yields informational telemetry only
+//      guest fibers (boot/restore only). Execution yields informational
+//      telemetry only
 //      (steals, wall clock, schedule-scoped events).
 #ifndef SRC_SERVE_FRONT_DOOR_H_
 #define SRC_SERVE_FRONT_DOOR_H_
@@ -62,7 +62,7 @@ struct ServeOptions {
   size_t workers = 1;                // Host-execution worker threads.
   bool execute = true;               // Run phase 3 (real subsystems).
   // Run each app's workload once in the prelude to measure service time
-  // (fibers, serial, not tsan-friendly). false: default_service_ns.
+  // (fibers, serial). false: default_service_ns.
   bool run_workloads = false;
   Nanos default_service_ns = Millis(3);
   Nanos warm_dispatch_ns = Micros(50);  // Handoff cost for a parked guest.

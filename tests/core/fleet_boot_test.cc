@@ -1,8 +1,6 @@
 // Parallel fleet boot. The FleetBootStormTest suite is Boot()-only — no
-// fiber ever runs — so it is ThreadSanitizer-compatible and runs in the tsan
-// CI leg (the filter selects it by suite name). FleetBootTest exercises the
-// workload/supervised modes, which do run guest fibers (thread-local, one
-// worker per VM) and therefore stay out of the tsan leg.
+// fiber ever runs. FleetBootTest exercises the workload/supervised modes,
+// which do run guest fibers (thread-local, one worker per VM).
 #include "src/core/fleet_boot.h"
 
 #include <gtest/gtest.h>

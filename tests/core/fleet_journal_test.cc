@@ -1,6 +1,5 @@
 // Flight-recorder integration over RunFleetBoot. FleetJournalStorm is
-// Boot()-only (no guest fiber runs), so it qualifies for the tsan CI leg —
-// the filter selects it by suite name. The determinism storm is the
+// Boot()-only (no guest fiber runs). The determinism storm is the
 // acceptance test for the journal contract: the canonical export must be
 // byte-identical across 1/2/4/8 workers for a fixed (plan, seed).
 #include <gtest/gtest.h>

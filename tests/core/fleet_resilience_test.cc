@@ -1,9 +1,7 @@
 // Fleet resilience: retries, stage deadlines, quarantine and the circuit
 // breaker composed over RunFleetBoot. The FleetResilienceStormTest suite is
-// Boot()-only — no fiber ever runs — so it is ThreadSanitizer-compatible and
-// runs in the tsan CI leg (the filter selects it by suite name).
-// FleetResilienceTest exercises workload/supervised modes, which do run
-// guest fibers and therefore stay out of the tsan leg.
+// Boot()-only — no fiber ever runs. FleetResilienceTest exercises
+// workload/supervised modes, which do run guest fibers.
 #include <gtest/gtest.h>
 
 #include <vector>

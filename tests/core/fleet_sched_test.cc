@@ -1,7 +1,6 @@
 // Fleet scheduling: the work-stealing deques and the pipelined provisioning
 // DAG composed over RunFleetBoot. The FleetSchedStorm suite is Boot()-only —
-// no fiber ever runs — so it is ThreadSanitizer-compatible and runs in the
-// tsan CI leg (the filter selects it by suite name).
+// no fiber ever runs.
 #include <gtest/gtest.h>
 
 #include <string>

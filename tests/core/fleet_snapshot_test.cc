@@ -1,6 +1,6 @@
 // Fleet boot with a snapshot store: planned capture/restore, the launch-cost
 // split, and the storm determinism contract. FleetSnapshotStormTest is
-// Boot/Restore-only (no fiber runs), so it rides the tsan CI leg.
+// Boot/Restore-only (no fiber runs).
 #include <gtest/gtest.h>
 
 #include <string>

@@ -1,8 +1,7 @@
 // Concurrency semantics of the single-flight KernelCache: no matter how many
 // threads race GetOrBuild, each distinct kernel fingerprint is built exactly
 // once and every caller sees the same stable artifact pointers. Run under
-// ThreadSanitizer in CI (these tests boot no VMs — the fiber layer and tsan
-// do not mix).
+// ThreadSanitizer in CI.
 #include "src/core/multik.h"
 
 #include <gtest/gtest.h>

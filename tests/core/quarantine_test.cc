@@ -114,7 +114,7 @@ TEST(QuarantineTest, PoisonedReportsAreIgnoredUntilProbe) {
 
 // Storm: concurrent GetOrBuild + failure reports on one key must stay
 // consistent (no lost counts, no deadlock, denial status well-formed).
-// Boot()-free and fiber-free, so the tsan leg can run it.
+// Boot()-free and fiber-free.
 TEST(QuarantineStormTest, ConcurrentReportsAndRequestsStayConsistent) {
   KernelCache cache;
   Nanos now = 0;  // Never advances: poison never expires mid-storm.

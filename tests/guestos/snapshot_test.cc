@@ -2,7 +2,7 @@
 // equivalence: a restored guest is byte-identical to a fresh boot of the
 // same artifact (console, process table, per-syscall accounting, digest) —
 // only its launch cost differs. The SnapshotStormTest suite is Boot-only
-// (no fiber runs), matching the tsan filter convention.
+// (no fiber runs).
 #include "src/guestos/snapshot.h"
 
 #include <gtest/gtest.h>

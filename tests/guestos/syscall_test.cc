@@ -40,6 +40,7 @@ TEST(SyscallTest, EnosysWhenOptionCompiledOut) {
     int word = 0;
     EXPECT_EQ(sys.FutexWait(&word, 0).err(), Err::kNoSys);
     EXPECT_EQ(sys.EpollCreate1().err(), Err::kNoSys);
+    EXPECT_EQ(sys.EpollCtlDel(3, 4).err(), Err::kNoSys);
     EXPECT_EQ(sys.Eventfd().err(), Err::kNoSys);
     EXPECT_EQ(sys.Shmget(kMiB).err(), Err::kNoSys);
     EXPECT_EQ(sys.Flock(0).err(), Err::kNoSys);

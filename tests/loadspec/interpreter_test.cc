@@ -154,7 +154,7 @@ TEST(ScenarioStorm, WorkerCountInvariantFiguresAndJournal) {
   }
 }
 
-// tsan-safe storm (no guest fibers): the parser/linter hammered from many
+// Storm (no guest fibers): the parser/linter hammered from many
 // host threads over the whole corpus must race-free produce identical
 // diagnostics.
 TEST(SpecLintStorm, ConcurrentLintingIsRaceFree) {

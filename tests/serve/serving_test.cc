@@ -1,7 +1,7 @@
 // The serving front door: load generation, warm-pool mechanics, and the
 // RunServing determinism/recovery contracts. ServingStormTest runs
 // execute=true at several worker counts — bodies boot/restore but never run
-// fibers, so the suite rides the tsan CI leg.
+// fibers.
 #include "src/serve/front_door.h"
 
 #include <gtest/gtest.h>

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cfenv>
 #include <vector>
 
 namespace lupine {
@@ -101,6 +102,22 @@ TEST(FiberTest, StackLocalStatePersistsAcrossYields) {
   fiber.Resume();
   fiber.Resume();
   EXPECT_EQ(out, 17);
+}
+
+TEST(FiberTest, RoundingModeStaysWithItsFiber) {
+  const int outer = std::fegetround();
+  ASSERT_NE(outer, FE_UPWARD);
+  int after_yield = -1;
+  Fiber fiber([&] {
+    std::fesetround(FE_UPWARD);
+    Fiber::Yield();
+    after_yield = std::fegetround();
+  });
+  fiber.Resume();
+  EXPECT_EQ(std::fegetround(), outer);
+  fiber.Resume();
+  EXPECT_EQ(after_yield, FE_UPWARD);
+  EXPECT_EQ(std::fegetround(), outer);
 }
 
 }  // namespace

@@ -2,7 +2,7 @@
 // determinism of the virtual-time replay. Most tests drive Simulate directly
 // — the replay is the product (every reported fleet figure comes from it);
 // host execution is covered by the SchedulerStorm suite, which is
-// Boot()-free and tsan-compatible (the tsan CI leg selects it by name).
+// Boot()-free.
 #include "src/util/scheduler.h"
 
 #include <gtest/gtest.h>
