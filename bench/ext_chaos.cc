@@ -17,7 +17,7 @@
 //      fault at 2 fires per task: with 3 retry attempts the fleet must
 //      complete with zero lost boots.
 //   4. Poisoned rootfs — bench/plans/poisoned_rootfs.json corrupts every
-//      boot. Quarantine caps failed launches per app at 1 + rebuild_limit
+//      boot. Quarantine caps failed launches per app at 2
 //      (rebuild-once-then-poison) instead of rounds x workers crash loops.
 //
 // Results go to stdout and BENCH_chaos.json (a CI artifact). Exit code is

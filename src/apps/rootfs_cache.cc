@@ -2,7 +2,6 @@
 
 #include <functional>
 #include <sstream>
-#include <utility>
 
 namespace lupine::apps {
 
@@ -33,117 +32,14 @@ std::string RootfsCache::CacheKey(const ContainerImage& image,
          (options.kml_libc ? ";kml=1" : ";kml=0");
 }
 
-void RootfsCache::EmitLocked(const char* type, const std::string& key) const {
-  if (journal_ == nullptr) {
-    return;
-  }
-  telemetry::Event event;
-  event.source = "rootfs-cache";
-  event.type = type;
-  event.schedule_scoped = true;  // Outcome depends on worker interleaving.
-  event.fields = {{"key", telemetry::FieldValue{key}}};
-  journal_->Emit(std::move(event));
-}
-
 RootfsCache::BlobPtr RootfsCache::GetOrBuild(const ContainerImage& image,
                                              const RootfsOptions& options) {
-  const std::string key = CacheKey(image, options);
-
-  std::unique_lock lock(mu_);
-  ++requests_;
-  std::shared_ptr<Flight> flight;
-  for (;;) {
-    auto cached = blobs_.find(key);
-    if (cached != blobs_.end()) {
-      ++hits_;
-      lru_.Touch(key);
-      EmitLocked("hit", key);
-      return cached->second;
-    }
-    auto flying = flights_.find(key);
-    if (flying == flights_.end()) {
-      flight = std::make_shared<Flight>();
-      flights_.emplace(key, flight);
-      EmitLocked("miss", key);
-      break;
-    }
-    std::shared_ptr<Flight> other = flying->second;
-    cv_.wait(lock, [&] { return other->done; });
-    // The blob rides on the flight itself: correct even if a tiny budget
-    // already evicted the store entry.
-    ++hits_;
-    EmitLocked("hit", key);
-    return other->blob;
-  }
-
-  lock.unlock();
-  auto blob = std::make_shared<const std::string>(BuildAppRootfs(image, options));
-  lock.lock();
-  ++builds_;
-  blobs_.emplace(key, blob);
-  lru_.Insert(key, blob->size());
-  EvictLocked();
-  flight->blob = blob;
-  flight->done = true;
-  flights_.erase(key);
-  cv_.notify_all();
-  return blob;
-}
-
-bool RootfsCache::Contains(const ContainerImage& image, const RootfsOptions& options) const {
-  const std::string key = CacheKey(image, options);
-  std::lock_guard lock(mu_);
-  if (blobs_.count(key) > 0) {
-    return true;
-  }
-  auto flight = flights_.find(key);
-  return flight != flights_.end() && flight->second->done;
-}
-
-bool RootfsCache::Invalidate(const ContainerImage& image, const RootfsOptions& options) {
-  const std::string key = CacheKey(image, options);
-  std::lock_guard lock(mu_);
-  auto it = blobs_.find(key);
-  if (it == blobs_.end()) {
-    return false;
-  }
-  lru_.Erase(key);
-  blobs_.erase(it);
-  ++invalidations_;
-  EmitLocked("invalidate", key);
-  return true;
-}
-
-void RootfsCache::EvictLocked() {
-  evictions_ += lru_.EvictOver(
-      budget_,
-      // Pinned: some caller still holds the blob (the store's own reference
-      // is the +1). Such entries survive even over budget.
-      [&](const std::string& key) { return blobs_.at(key).use_count() > 1; },
-      [&](const std::string& key, Bytes bytes) {
-        bytes_evicted_ += bytes;
-        blobs_.erase(key);
-        EmitLocked("evict", key);
-      });
-}
-
-RootfsCache::Stats RootfsCache::stats() const {
-  std::lock_guard lock(mu_);
-  Stats stats;
-  stats.requests = requests_;
-  stats.builds = builds_;
-  stats.hits = hits_;
-  stats.invalidations = invalidations_;
-  stats.evictions = evictions_;
-  stats.bytes_evicted = bytes_evicted_;
-  stats.bytes_stored = lru_.bytes();
-  for (const auto& [key, blob] : blobs_) {
-    if (blob.use_count() > 1) {
-      stats.bytes_pinned += blob->size();
-    }
-  }
-  stats.entries = lru_.entries();
-  return stats;
+  return store_
+      .GetOrCompute(CacheKey(image, options),
+                    [&]() -> Result<BlobPtr> {
+                      return std::make_shared<const std::string>(BuildAppRootfs(image, options));
+                    })
+      .take();
 }
 
 void RootfsCache::PublishMetrics(telemetry::MetricRegistry& registry) const {
@@ -160,12 +56,6 @@ void RootfsCache::PublishMetrics(telemetry::MetricRegistry& registry) const {
   set("rootfscache.bytes_stored", s.bytes_stored);
   set("rootfscache.bytes_pinned", s.bytes_pinned);
   set("rootfscache.entries", s.entries);
-}
-
-void RootfsCache::set_budget(CacheBudget budget) {
-  std::lock_guard lock(mu_);
-  budget_ = budget;
-  EvictLocked();
 }
 
 }  // namespace lupine::apps

@@ -2,25 +2,22 @@
 //
 // The fleet path used to call BuildAppRootfs once per GetOrBuild, so a
 // top-20 rebuild serialized twenty LUPX2FS images even when nineteen were
-// byte-identical to the last run. This cache mirrors the kernel-side
-// KernelCache design: blobs are keyed by (container-image digest,
-// RootfsOptions), concurrent requests for the same key share one build
-// (single flight), and a size-aware LRU keeps the store under a configurable
-// byte/entry budget. Blobs are handed out as shared_ptr<const std::string>;
-// an entry some fleet member still holds is pinned and never evicted.
+// byte-identical to the last run. This cache keys blobs by (container-image
+// digest, RootfsOptions) in a ContentStore (apps/content_store.h):
+// concurrent requests for the same key share one build (single flight), and
+// a size-aware LRU keeps the store under a configurable byte/entry budget.
+// Blobs are handed out as shared_ptr<const std::string>; an entry some fleet
+// member still holds is pinned and never evicted.
 #ifndef SRC_APPS_ROOTFS_CACHE_H_
 #define SRC_APPS_ROOTFS_CACHE_H_
 
-#include <condition_variable>
-#include <map>
 #include <memory>
-#include <mutex>
 #include <string>
 
+#include "src/apps/content_store.h"
 #include "src/apps/rootfs_builder.h"
 #include "src/telemetry/journal.h"
 #include "src/telemetry/metrics.h"
-#include "src/util/lru.h"
 
 namespace lupine::apps {
 
@@ -29,7 +26,9 @@ class RootfsCache {
   using BlobPtr = std::shared_ptr<const std::string>;
 
   // Default: unbounded (never evicts), matching the kernel cache.
-  explicit RootfsCache(CacheBudget budget = {}) : budget_(budget) {}
+  explicit RootfsCache(CacheBudget budget = {})
+      : store_("rootfs-cache", [](const std::string& blob) -> Bytes { return blob.size(); },
+               budget) {}
 
   // Returns the (possibly shared) rootfs blob for `image` built with
   // `options`, building it at most once per distinct key across all
@@ -42,11 +41,13 @@ class RootfsCache {
   // different musl, so kml_libc is part of the key, never collapsed).
   static std::string CacheKey(const ContainerImage& image, const RootfsOptions& options);
 
-  // Pure probe: true when the blob for (image, options) is resident (stored
-  // or on a completed flight). No side effects — no stats, no LRU touch —
-  // so provisioning planners can ask "would this be a hit?" without
-  // perturbing the counters the storm tests assert on.
-  bool Contains(const ContainerImage& image, const RootfsOptions& options) const;
+  // Pure probe: true when the blob for (image, options) is stored. No side
+  // effects — no stats, no LRU touch — so provisioning planners can ask
+  // "would this be a hit?" without perturbing the counters the storm tests
+  // assert on.
+  bool Contains(const ContainerImage& image, const RootfsOptions& options) const {
+    return store_.Contains(CacheKey(image, options));
+  }
 
   // Drops the cached blob for (image, options) so the next request rebuilds
   // it from scratch — the quarantine path: an artifact whose launches keep
@@ -54,63 +55,29 @@ class RootfsCache {
   // Returns true when an entry was actually dropped. An in-flight build is
   // left alone (its waiters hold the blob already); callers invalidate again
   // after the next failure.
-  bool Invalidate(const ContainerImage& image, const RootfsOptions& options);
+  bool Invalidate(const ContainerImage& image, const RootfsOptions& options) {
+    return store_.Erase(CacheKey(image, options));
+  }
 
-  struct Stats {
-    size_t requests = 0;
-    size_t builds = 0;       // Key misses that ran BuildAppRootfs.
-    size_t hits = 0;         // Served from the store or a completed flight.
-    size_t invalidations = 0;  // Quarantine drops (rebuild-forcing).
-    size_t evictions = 0;
-    Bytes bytes_evicted = 0;
-    Bytes bytes_stored = 0;  // Live blob bytes.
-    // Blob bytes some caller still references — unevictable until released.
-    Bytes bytes_pinned = 0;
-    size_t entries = 0;
-  };
-  Stats stats() const;
+  // builds: key misses that ran BuildAppRootfs; invalidations: quarantine
+  // drops (rebuild-forcing).
+  using Stats = ContentStore<std::string>::Stats;
+  Stats stats() const { return store_.stats(); }
 
   // Publishes the current Stats as absolute-valued `rootfscache.*` gauges.
   // Call at a snapshot point; gauges overwrite, so this is idempotent.
   void PublishMetrics(telemetry::MetricRegistry& registry) const;
 
   // Replaces the retention budget and immediately evicts down to it.
-  void set_budget(CacheBudget budget);
+  void set_budget(CacheBudget budget) { store_.set_budget(budget); }
 
   // Optional, non-owning flight-recorder sink: hit/miss/evict/invalidate
-  // events under source "rootfs-cache". Cache outcomes depend on which
-  // worker reached the key first, so the events are schedule-scoped (full
-  // export / Perfetto only). The journal must outlive the cache.
-  void set_journal(telemetry::Journal* journal) {
-    std::lock_guard lock(mu_);
-    journal_ = journal;
-  }
+  // events under source "rootfs-cache" (schedule-scoped: full export /
+  // Perfetto only). The journal must outlive the cache.
+  void set_journal(telemetry::Journal* journal) { store_.set_journal(journal); }
 
  private:
-  // An in-progress build. Waiters take the blob straight off the flight, so
-  // even a blob evicted immediately (tiny budget) reaches every waiter.
-  struct Flight {
-    bool done = false;
-    BlobPtr blob;
-  };
-
-  void EvictLocked();
-  // Caller holds mu_. No-op until set_journal.
-  void EmitLocked(const char* type, const std::string& key) const;
-
-  mutable std::mutex mu_;
-  telemetry::Journal* journal_ = nullptr;
-  std::condition_variable cv_;
-  CacheBudget budget_;
-  std::map<std::string, BlobPtr> blobs_;                    // By cache key.
-  std::map<std::string, std::shared_ptr<Flight>> flights_;  // By cache key.
-  LruTracker lru_;
-  size_t requests_ = 0;
-  size_t builds_ = 0;
-  size_t hits_ = 0;
-  size_t invalidations_ = 0;
-  size_t evictions_ = 0;
-  Bytes bytes_evicted_ = 0;
+  ContentStore<std::string> store_;
 };
 
 }  // namespace lupine::apps

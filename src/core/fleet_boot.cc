@@ -827,21 +827,6 @@ Result<FleetBootResult> RunFleetBoot(KernelCache& cache, const FleetBootOptions&
   // Counter tracks over the replay timeline (ph:"C" inputs for the merged
   // Perfetto trace): tasks in flight, resident bytes, cumulative boots.
   {
-    auto fold = [](std::string name, std::vector<std::pair<Nanos, double>> deltas) {
-      std::sort(deltas.begin(), deltas.end(),
-                [](const auto& a, const auto& b) { return a.first < b.first; });
-      telemetry::CounterSeries series;
-      series.name = std::move(name);
-      double level = 0.0;
-      for (size_t i = 0; i < deltas.size();) {
-        const Nanos at = deltas[i].first;
-        for (; i < deltas.size() && deltas[i].first == at; ++i) {
-          level += deltas[i].second;
-        }
-        series.points.emplace_back(at, level);
-      }
-      return series;
-    };
     std::vector<std::pair<Nanos, double>> inflight;
     std::vector<std::pair<Nanos, double>> resident;
     std::vector<std::pair<Nanos, double>> cumulative;
@@ -858,9 +843,12 @@ Result<FleetBootResult> RunFleetBoot(KernelCache& cache, const FleetBootOptions&
         cumulative.emplace_back(record.end, static_cast<double>(outcomes[slot].boots));
       }
     }
-    result.counter_tracks.push_back(fold("fleet.tasks_inflight", std::move(inflight)));
-    result.counter_tracks.push_back(fold("fleet.resident_bytes", std::move(resident)));
-    result.counter_tracks.push_back(fold("fleet.boots_cumulative", std::move(cumulative)));
+    result.counter_tracks.push_back(
+        telemetry::FoldCounterDeltas("fleet.tasks_inflight", std::move(inflight)));
+    result.counter_tracks.push_back(
+        telemetry::FoldCounterDeltas("fleet.resident_bytes", std::move(resident)));
+    result.counter_tracks.push_back(
+        telemetry::FoldCounterDeltas("fleet.boots_cumulative", std::move(cumulative)));
   }
 
   // Memory rollups, attributed to the replay's worker assignment: host

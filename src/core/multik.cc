@@ -1,7 +1,6 @@
 #include "src/core/multik.h"
 
 #include <cassert>
-#include <chrono>
 #include <functional>
 #include <sstream>
 #include <utility>
@@ -56,6 +55,19 @@ std::string KernelCache::ConfigFingerprint(const kconfig::Config& config) {
   return std::to_string(std::hash<std::string>{}(key.str()));
 }
 
+KernelCache::KernelCache(BuildOptions options, CacheBudget artifact_budget,
+                         CacheBudget kernel_budget)
+    : options_(std::move(options)),
+      artifacts_(
+          "kernel-cache",
+          [](const AppArtifact& artifact) -> Bytes {
+            return artifact.rootfs->size() + artifact.init_script.size();
+          },
+          artifact_budget),
+      kernels_(
+          "kernel-cache", [](const KernelEntry& kernel) -> Bytes { return kernel.image.size; },
+          kernel_budget) {}
+
 Result<KernelCache::ArtifactPtr> KernelCache::GetOrBuild(const std::string& app) {
   return GetOrBuildKeyed(app, app, options_);
 }
@@ -68,84 +80,52 @@ Result<KernelCache::ArtifactPtr> KernelCache::GetOrBuild(const std::string& app,
 Result<KernelCache::ArtifactPtr> KernelCache::GetOrBuildKeyed(const std::string& key,
                                                               const std::string& app,
                                                               const BuildOptions& options) {
-  std::unique_lock lock(mu_);
-  ++requests_;
-  if (metrics_ != nullptr) {
-    metrics_->GetCounter("kernelcache.requests").Increment();
-  }
-
-  // Quarantine gate: a poisoned key fails fast instead of handing a known-bad
-  // artifact to yet another worker. Past the TTL the poison clears and this
-  // very request becomes the probe rebuild.
-  if (quarantine_policy_.enabled) {
-    auto health = quarantine_.find(key);
-    if (health != quarantine_.end() && health->second.poisoned_until >= 0) {
-      if (QuarantineNowLocked() < health->second.poisoned_until) {
+  Count("kernelcache.requests");
+  {
+    // Quarantine gate: a poisoned key fails fast instead of handing a
+    // known-bad artifact to yet another worker.
+    std::lock_guard lock(mu_);
+    switch (quarantine_.Check(key, quarantine_now_())) {
+      case Quarantine::Gate::kDenied:
         ++quarantine_denials_;
-        if (metrics_ != nullptr) {
-          metrics_->GetCounter("kernelcache.quarantine_denials").Increment();
-        }
+        Count("kernelcache.quarantine_denials");
         EmitJournal("quarantine-denial", app);
         return Status(Err::kAccess, "quarantined: " + app +
                                         " kept failing after a rebuild; poisoned until TTL");
-      }
-      // TTL expired: half-open. Grant one fresh rebuild cycle.
-      health->second = LaunchHealth{};
-      EmitJournal("half-open", app);
+      case Quarantine::Gate::kProbe:
+        // TTL expired: half-open. Grant one fresh rebuild cycle.
+        quarantine_.Forget(key);
+        EmitJournal("half-open", app);
+        break;
+      case Quarantine::Gate::kOpen:
+        break;
     }
   }
-
-  // Fast path / single-flight entry: either the artifact exists, another
-  // thread is building it (wait), or we claim the flight.
-  std::shared_ptr<Flight> app_flight;
-  for (;;) {
-    auto cached = apps_.find(key);
-    if (cached != apps_.end()) {
-      artifact_lru_.Touch(key);
-      if (metrics_ != nullptr) {
-        metrics_->GetCounter("kernelcache.app_hits").Increment();
-      }
-      EmitJournal("hit", app);
-      return cached->second;
-    }
-    auto flying = app_flights_.find(key);
-    if (flying == app_flights_.end()) {
-      app_flight = std::make_shared<Flight>();
-      app_flights_.emplace(key, app_flight);
-      EmitJournal("miss", app);
-      break;
-    }
-    std::shared_ptr<Flight> flight = flying->second;
-    cv_.wait(lock, [&] { return flight->done; });
-    if (!flight->status.ok()) {
-      return flight->status;
-    }
-    if (metrics_ != nullptr) {
-      metrics_->GetCounter("kernelcache.app_hits").Increment();
-    }
-    EmitJournal("hit", app);
-    return flight->artifact;
+  bool built = false;
+  auto artifact = artifacts_.GetOrCompute(key, [&] {
+    built = true;
+    return BuildArtifact(key, app, options);
+  });
+  if (built) {
+    // The new artifact pins its kernel; the artifact tier trimmed on
+    // insertion, which may have unpinned older kernels.
+    kernels_.Trim();
+  } else if (artifact.ok()) {
+    Count("kernelcache.app_hits");
   }
+  return artifact;
+}
 
-  // We own the flight for `key`. Resolve it with `status` on every error
-  // path; the entry is erased so later calls retry (no negative caching).
-  auto fail = [&](Status status) -> Status {
-    app_flight->done = true;
-    app_flight->status = status;
-    app_flights_.erase(key);
-    cv_.notify_all();
-    return status;
-  };
-
-  lock.unlock();
+Result<KernelCache::ArtifactPtr> KernelCache::BuildArtifact(const std::string& key,
+                                                            const std::string& app,
+                                                            const BuildOptions& options) {
   // This flight's host-wall provisioning timeline: specialize/resolve from
   // SpecializeConfig, `build` only when this flight really built the kernel,
   // `load-rootfs` below. Rides on the artifact for bench exemplars.
   auto provisioning = std::make_shared<telemetry::SpanTrace>();
   auto specialized = SpecializeForApp(app, options, provisioning.get());
   if (!specialized.ok()) {
-    lock.lock();
-    return fail(specialized.status());
+    return specialized.status();
   }
   Specialization spec = specialized.take();
   if (metrics_ != nullptr) {
@@ -161,11 +141,9 @@ Result<KernelCache::ArtifactPtr> KernelCache::GetOrBuildKeyed(const std::string&
   // identically share one build even when requested concurrently.
   auto ensured = EnsureKernel(spec.config, spec.fingerprint, provisioning.get());
   if (!ensured.ok()) {
-    lock.lock();
-    return fail(ensured.status());
+    return ensured.status();
   }
-  KernelEntry kernel = ensured.take();
-  const bool general_kernel = spec.general_kernel;
+  KernelPtr kernel = ensured.take();
 
   // Per-app artifact: the init script is per-app; the rootfs blob is shared
   // through the content-addressed rootfs cache.
@@ -173,8 +151,8 @@ Result<KernelCache::ArtifactPtr> KernelCache::GetOrBuildKeyed(const std::string&
   apps::RootfsOptions rootfs_options;
   rootfs_options.kml_libc = options.kml;
   auto artifact = std::make_shared<AppArtifact>();
-  artifact->kernel = kernel.image;
-  artifact->boot_plan = kernel.boot_plan;
+  artifact->kernel = std::shared_ptr<const kbuild::KernelImage>(kernel, &kernel->image);
+  artifact->boot_plan = std::shared_ptr<const guestos::BootPlan>(kernel, &kernel->boot_plan);
   telemetry::HostStopwatch rootfs_watch;
   artifact->rootfs = rootfs_cache_.GetOrBuild(image, rootfs_options);
   const Nanos rootfs_ns = rootfs_watch.ElapsedNanos();
@@ -184,25 +162,17 @@ Result<KernelCache::ArtifactPtr> KernelCache::GetOrBuildKeyed(const std::string&
         .Observe(static_cast<double>(rootfs_ns));
   }
   artifact->init_script = apps::GenerateInitScript(image);
-  artifact->general_kernel = general_kernel;
+  artifact->general_kernel = spec.general_kernel;
   artifact->fingerprint = spec.fingerprint;
   artifact->rootfs_key = apps::RootfsCache::CacheKey(image, rootfs_options);
   artifact->provisioning = std::move(provisioning);
-  ArtifactPtr result = std::move(artifact);
 
-  lock.lock();
-  app_kernel_bytes_[key] = kernel.image->size;
-  if (general_kernel) {
+  std::lock_guard lock(mu_);
+  app_kernel_bytes_[key] = kernel->image.size;
+  if (spec.general_kernel) {
     ++general_served_;
   }
-  apps_.emplace(key, result);
-  artifact_lru_.Insert(key, result->rootfs->size() + result->init_script.size());
-  EvictLocked();  // `result` pins the new artifact.
-  app_flight->artifact = result;
-  app_flight->done = true;
-  app_flights_.erase(key);
-  cv_.notify_all();
-  return result;
+  return ArtifactPtr(std::move(artifact));
 }
 
 Result<KernelCache::Specialization> KernelCache::SpecializeForApp(
@@ -238,41 +208,17 @@ Result<KernelCache::Specialization> KernelCache::SpecializeForApp(
   return spec;
 }
 
-Result<KernelCache::KernelEntry> KernelCache::EnsureKernel(
-    const kconfig::Config& config, const std::string& fingerprint,
-    telemetry::SpanTrace* provisioning) {
-  std::unique_lock lock(mu_);
-  for (;;) {
-    auto hit = kernels_.find(fingerprint);
-    if (hit != kernels_.end()) {
-      kernel_lru_.Touch(fingerprint);
-      return hit->second;
-    }
-    auto flying = kernel_flights_.find(fingerprint);
-    if (flying != kernel_flights_.end()) {
-      std::shared_ptr<KernelFlight> flight = flying->second;
-      cv_.wait(lock, [&] { return flight->done; });
-      if (!flight->status.ok()) {
-        return flight->status;
-      }
-      return flight->entry;
-    }
-    auto kernel_flight = std::make_shared<KernelFlight>();
-    kernel_flights_.emplace(fingerprint, kernel_flight);
-    lock.unlock();
+Result<KernelCache::KernelPtr> KernelCache::EnsureKernel(const kconfig::Config& config,
+                                                         const std::string& fingerprint,
+                                                         telemetry::SpanTrace* provisioning) {
+  return kernels_.GetOrCompute(fingerprint, [&]() -> Result<KernelPtr> {
     telemetry::HostStopwatch build_watch;
     kbuild::ImageBuilder image_builder;
     auto built = image_builder.Build(config);
     const Nanos build_ns = build_watch.ElapsedNanos();
-    lock.lock();
-    kernel_flight->done = true;
     if (!built.ok()) {
-      kernel_flight->status = built.status();
-      kernel_flights_.erase(fingerprint);
-      cv_.notify_all();
       return built.status();
     }
-    ++builds_;
     if (provisioning != nullptr) {
       provisioning->AddPhase("build", build_ns);
     }
@@ -281,20 +227,16 @@ Result<KernelCache::KernelEntry> KernelCache::EnsureKernel(
       metrics_->GetHistogram("build.stage_ns", {{"stage", "build"}})
           .Observe(static_cast<double>(build_ns));
     }
-    KernelEntry entry;
-    entry.image = std::make_shared<const kbuild::KernelImage>(built.take());
+    auto entry = std::make_shared<KernelEntry>();
+    entry->image = built.take();
     // The boot plan is the point of the per-image precompute: derived once
     // here, reused by every VM that ever boots this image.
-    entry.boot_plan =
-        std::make_shared<const guestos::BootPlan>(guestos::ComputeBootPlan(*entry.image));
-    kernels_.emplace(fingerprint, entry);
-    kernel_lru_.Insert(fingerprint, entry.image->size);
-    EvictLocked();  // Our local reference pins the new image.
-    kernel_flight->entry = entry;
-    kernel_flights_.erase(fingerprint);
-    cv_.notify_all();
-    return entry;
-  }
+    entry->boot_plan = guestos::ComputeBootPlan(entry->image);
+    // Artifacts pin their kernels: trim them first, so the kernel tier's
+    // trim on this insertion can reclaim kernels only stale artifacts held.
+    artifacts_.Trim();
+    return KernelPtr(std::move(entry));
+  });
 }
 
 Result<KernelCache::ProvisionPlan> KernelCache::PlanProvisioning(const std::string& app) {
@@ -311,10 +253,7 @@ Result<KernelCache::ProvisionPlan> KernelCache::PlanProvisioning(const std::stri
   const apps::ContainerImage image = apps::MakeAlpineImage(*spec.manifest);
   plan.rootfs_key = apps::RootfsCache::CacheKey(image, rootfs_options);
   plan.rootfs_cached = rootfs_cache_.Contains(image, rootfs_options);
-  {
-    std::lock_guard lock(mu_);
-    plan.kernel_cached = kernels_.count(spec.fingerprint) > 0;
-  }
+  plan.kernel_cached = kernels_.Contains(spec.fingerprint);
   plan.kernel_cost =
       provision_costs_.kernel_base +
       provision_costs_.kernel_per_option *
@@ -344,20 +283,8 @@ Status KernelCache::PrewarmRootfs(const std::string& app) {
   return Status::Ok();
 }
 
-Nanos KernelCache::QuarantineNowLocked() {
-  if (quarantine_now_) {
-    return quarantine_now_();
-  }
-  // Host steady clock since the process started: TTLs tick in real time by
-  // default; tests inject a manual source for deterministic expiry.
-  return std::chrono::duration_cast<std::chrono::nanoseconds>(
-             std::chrono::steady_clock::now().time_since_epoch())
-      .count();
-}
-
-void KernelCache::DropForRebuildLocked(const std::string& app) {
-  artifact_lru_.Erase(app);
-  apps_.erase(app);
+void KernelCache::DropForRebuild(const std::string& app) {
+  artifacts_.Erase(app);
   // The rootfs blob is keyed by content, not by app: drop it too, or the
   // "rebuild" would be served the identical cached bytes. The shared kernel
   // image stays — other apps' successful boots exonerate it, and a per-app
@@ -371,65 +298,53 @@ void KernelCache::DropForRebuildLocked(const std::string& app) {
 
 void KernelCache::ReportLaunchFailure(const std::string& app) {
   std::lock_guard lock(mu_);
-  if (!quarantine_policy_.enabled) {
+  if (!quarantine_.policy().enabled) {
     return;
   }
   ++quarantine_failures_;
-  if (metrics_ != nullptr) {
-    metrics_->GetCounter("kernelcache.quarantine_failures").Increment();
+  Count("kernelcache.quarantine_failures");
+  switch (quarantine_.Fail(app, quarantine_now_())) {
+    case Quarantine::Strike::kNone:
+      return;  // Already poisoned; stragglers mid-flight change nothing.
+    case Quarantine::Strike::kDrop:
+      // Strike one: rebuild-once. The next GetOrBuild builds from scratch
+      // instead of re-serving the suspect.
+      ++quarantine_rebuilds_;
+      Count("kernelcache.quarantine_rebuilds");
+      EmitJournal("quarantine-rebuild", app);
+      break;
+    case Quarantine::Strike::kPoison:
+      // The rebuild failed too: poison. One bad blob must not crash-loop
+      // rounds x workers VMs — every GetOrBuild until the TTL fails fast.
+      ++quarantine_poisoned_;
+      Count("kernelcache.quarantine_poisoned");
+      EmitJournal("poison", app);
+      break;
   }
-  LaunchHealth& health = quarantine_[app];
-  if (health.poisoned_until >= 0) {
-    return;  // Already poisoned; stragglers mid-flight change nothing.
-  }
-  if (++health.failures < quarantine_policy_.failures_per_strike) {
-    return;
-  }
-  health.failures = 0;
-  if (health.rebuilds < quarantine_policy_.rebuild_limit) {
-    // Strike one: rebuild-once. Drop the artifact and its rootfs blob so the
-    // next GetOrBuild builds from scratch instead of re-serving the suspect.
-    ++health.rebuilds;
-    ++quarantine_rebuilds_;
-    DropForRebuildLocked(app);
-    if (metrics_ != nullptr) {
-      metrics_->GetCounter("kernelcache.quarantine_rebuilds").Increment();
-    }
-    EmitJournal("quarantine-rebuild", app);
-    return;
-  }
-  // The rebuild failed too: poison. One bad blob must not crash-loop
-  // rounds x workers VMs — every GetOrBuild until the TTL fails fast.
-  health.poisoned_until = QuarantineNowLocked() + quarantine_policy_.poison_ttl;
-  ++quarantine_poisoned_;
-  DropForRebuildLocked(app);
-  if (metrics_ != nullptr) {
-    metrics_->GetCounter("kernelcache.quarantine_poisoned").Increment();
-  }
-  EmitJournal("poison", app);
+  DropForRebuild(app);
 }
 
 void KernelCache::set_journal(telemetry::Journal* journal) {
   std::lock_guard lock(mu_);
   journal_ = journal;
+  artifacts_.set_journal(journal);
+  kernels_.set_journal(journal);
   rootfs_cache_.set_journal(journal);
 }
 
 void KernelCache::EmitJournal(const char* type, const std::string& app) const {
-  if (journal_ == nullptr) {
-    return;
+  apps::EmitCacheEvent(journal_, "kernel-cache", type, "app", app);
+}
+
+void KernelCache::Count(const char* counter) const {
+  if (metrics_ != nullptr) {
+    metrics_->GetCounter(counter).Increment();
   }
-  telemetry::Event event;
-  event.source = "kernel-cache";
-  event.type = type;
-  event.schedule_scoped = true;  // Cache interleaving is host-timing bound.
-  event.fields = {{"app", telemetry::FieldValue{app}}};
-  journal_->Emit(std::move(event));
 }
 
 void KernelCache::set_quarantine(QuarantinePolicy policy) {
   std::lock_guard lock(mu_);
-  quarantine_policy_ = policy;
+  quarantine_.set_policy(policy);
 }
 
 void KernelCache::set_quarantine_clock(std::function<Nanos()> now) {
@@ -437,66 +352,36 @@ void KernelCache::set_quarantine_clock(std::function<Nanos()> now) {
   quarantine_now_ = std::move(now);
 }
 
-void KernelCache::EvictLocked() {
+void KernelCache::set_budgets(CacheBudget artifact_budget, CacheBudget kernel_budget) {
   // Artifacts first: each artifact pins its kernel image, so dropping stale
   // artifacts is what makes stale kernels evictable at all.
-  artifact_evictions_ += artifact_lru_.EvictOver(
-      artifact_budget_,
-      [&](const std::string& key) { return apps_.at(key).use_count() > 1; },
-      [&](const std::string& key, Bytes) {
-        EmitJournal("evict", key);
-        apps_.erase(key);
-      });
-  kernel_evictions_ += kernel_lru_.EvictOver(
-      kernel_budget_,
-      [&](const std::string& fingerprint) {
-        return kernels_.at(fingerprint).image.use_count() > 1;
-      },
-      [&](const std::string& fingerprint, Bytes bytes) {
-        bytes_evicted_ += bytes;
-        EmitJournal("evict-kernel", fingerprint);
-        kernels_.erase(fingerprint);
-      });
-}
-
-void KernelCache::set_budgets(CacheBudget artifact_budget, CacheBudget kernel_budget) {
-  std::lock_guard lock(mu_);
-  artifact_budget_ = artifact_budget;
-  kernel_budget_ = kernel_budget;
-  EvictLocked();
+  artifacts_.set_budget(artifact_budget);
+  kernels_.set_budget(kernel_budget);
 }
 
 KernelCache::Stats KernelCache::stats() const {
+  const auto artifacts = artifacts_.stats();
+  const auto kernels = kernels_.stats();
   std::lock_guard lock(mu_);
   Stats stats;
-  stats.requests = requests_;
-  stats.builds = builds_;
+  stats.requests = artifacts.requests + quarantine_denials_;
+  stats.builds = kernels.builds;
   stats.apps = app_kernel_bytes_.size();
-  stats.distinct_kernels = kernels_.size();
+  stats.distinct_kernels = kernels.entries;
   for (const auto& [key, kernel_bytes] : app_kernel_bytes_) {
     stats.bytes_if_unshared += kernel_bytes;
   }
-  for (const auto& [fingerprint, entry] : kernels_) {
-    stats.bytes_stored += entry.image->size;
-    // Pinned = some caller still holds the image (the store's own reference
-    // is the +1); eviction cannot reclaim these bytes.
-    if (entry.image.use_count() > 1) {
-      stats.kernel_bytes_pinned += entry.image->size;
-    }
-  }
-  for (const auto& [key, artifact] : apps_) {
-    if (artifact.use_count() > 1) {
-      stats.artifact_bytes_pinned += artifact->rootfs->size() + artifact->init_script.size();
-    }
-  }
+  stats.bytes_stored = kernels.bytes_stored;
   stats.general_served = general_served_;
   stats.quarantine_failures = quarantine_failures_;
   stats.quarantine_rebuilds = quarantine_rebuilds_;
   stats.quarantine_poisoned = quarantine_poisoned_;
   stats.quarantine_denials = quarantine_denials_;
-  stats.artifact_evictions = artifact_evictions_;
-  stats.kernel_evictions = kernel_evictions_;
-  stats.bytes_evicted = bytes_evicted_;
+  stats.artifact_evictions = artifacts.evictions;
+  stats.kernel_evictions = kernels.evictions;
+  stats.bytes_evicted = kernels.bytes_evicted;
+  stats.kernel_bytes_pinned = kernels.bytes_pinned;
+  stats.artifact_bytes_pinned = artifacts.bytes_pinned;
   return stats;
 }
 

@@ -11,68 +11,50 @@
 // fleet-level statistics (distinct kernels, image bytes saved, rootfs hit
 // rates).
 //
-// The cache is thread-safe with single-flight deduplication at two levels:
-// concurrent GetOrBuild("node") calls produce exactly one build (per-app
-// flight), and concurrent requests for *different* apps whose specialized
+// The cache is thread-safe, with two ContentStore tiers (apps/content_store.h)
+// single-flighting builds at two levels: concurrent GetOrBuild("node") calls
+// produce exactly one build (the artifact tier, keyed per app and options),
+// and concurrent requests for *different* apps whose specialized
 // configurations fingerprint identically (e.g. the zero-extra-option
-// language runtimes of Table 3) also share one kernel build (per-fingerprint
-// flight). Configurations are fingerprinted via LupineBuilder's
-// SpecializeConfig *before* the expensive kernel build, so deduplication
-// happens up front rather than after redundant work. Failed flights are not
-// cached: waiters observe the failure, later calls retry from scratch,
-// matching the serial cache's semantics.
+// language runtimes of Table 3) also share one kernel build (the kernel
+// tier, keyed by fingerprint). Configurations are fingerprinted via
+// LupineBuilder's SpecializeConfig *before* the expensive kernel build, so
+// deduplication happens up front rather than after redundant work. Failed
+// builds are not cached: waiters observe the failure, later calls retry
+// from scratch, matching the serial cache's semantics.
 //
-// Retention is bounded by optional size-aware LRU budgets (one for app
-// artifacts, one for kernel images). Eviction only drops entries the cache
-// is the sole owner of: artifacts and kernels are handed out as shared_ptr,
-// and any entry a caller still references — including every in-flight build,
-// whose result is published through the flight itself — is pinned. A fleet
-// rebuilding under churning extra_options therefore stays under its byte
-// budget instead of growing without bound.
+// Retention is bounded by optional size-aware LRU budgets (one per tier).
+// Eviction only drops entries the cache is the sole owner of: artifacts and
+// kernels are handed out as shared_ptr, and any entry a caller still
+// references — including every in-flight build, whose result is published
+// through the flight itself — is pinned. An artifact holds aliasing
+// pointers into its kernel entry, so it pins its kernel, and every
+// insertion trims artifacts before kernels. A fleet rebuilding under
+// churning extra_options therefore stays under its byte budget instead of
+// growing without bound.
 #ifndef SRC_CORE_MULTIK_H_
 #define SRC_CORE_MULTIK_H_
 
-#include <condition_variable>
 #include <functional>
 #include <map>
 #include <memory>
 #include <mutex>
 #include <string>
 
+#include "src/apps/content_store.h"
 #include "src/apps/rootfs_cache.h"
 #include "src/core/lupine.h"
 #include "src/telemetry/journal.h"
 #include "src/telemetry/metrics.h"
 #include "src/telemetry/span.h"
-#include "src/util/lru.h"
+#include "src/util/retry.h"
 
 namespace lupine::core {
-
-// How the cache contains an artifact whose launches keep failing. A cached
-// blob every shard re-boots is a fleet-wide blast radius: without
-// containment one bad artifact crash-loops rounds x workers VMs. The policy
-// is rebuild-once-then-poison: the first reported failure drops the cached
-// artifact and its rootfs blob so the next request rebuilds from scratch
-// (maybe the build was the problem); a failure after the rebuild poisons the
-// key — GetOrBuild fails fast with kAccess ("quarantined") until the TTL
-// passes, at which point one probe rebuild is allowed through again.
-struct QuarantinePolicy {
-  bool enabled = true;
-  // Reported failures that trigger a drop/rebuild or (post-rebuild) poison.
-  int failures_per_strike = 1;
-  // Rebuilds granted before the key is poisoned ("rebuild-once").
-  int rebuild_limit = 1;
-  // How long a poisoned key fails fast before a probe is allowed.
-  Nanos poison_ttl = Seconds(30);
-};
 
 class KernelCache {
  public:
   explicit KernelCache(BuildOptions options = {}, CacheBudget artifact_budget = {},
-                       CacheBudget kernel_budget = {})
-      : options_(std::move(options)),
-        artifact_budget_(artifact_budget),
-        kernel_budget_(kernel_budget) {}
+                       CacheBudget kernel_budget = {});
 
   // What a fleet member deploys: a (possibly shared) kernel image with its
   // precomputed boot plan, plus a (possibly shared) rootfs. All shared
@@ -164,15 +146,20 @@ class KernelCache {
   // --- Quarantine -----------------------------------------------------------
   // Launch-failure feedback from fleet members: `app` (default-keyed, the
   // fleet path's GetOrBuild(app) counterpart) booted from its artifact and
-  // failed. Drives the rebuild-once-then-poison state machine above.
+  // failed. Drives util/retry.h's Quarantine: the first failure drops the
+  // cached artifact and its rootfs blob so the next request rebuilds from
+  // scratch (maybe the build was the problem); a failure after the rebuild
+  // poisons the key — GetOrBuild fails fast with kAccess ("quarantined")
+  // until the TTL passes, and then one probe request gets a fresh rebuild
+  // cycle.
   void ReportLaunchFailure(const std::string& app);
   // True when `status` is a quarantine denial from GetOrBuild.
   static bool IsQuarantineDenial(const Status& status) {
     return status.err() == Err::kAccess;
   }
   void set_quarantine(QuarantinePolicy policy);
-  // TTL time source, monotonic nanos. Default: host steady clock since
-  // construction. Tests inject a manual clock for deterministic expiry.
+  // TTL time source, monotonic nanos. Default: the host steady clock.
+  // Tests inject a manual clock for deterministic expiry.
   void set_quarantine_clock(std::function<Nanos()> now);
 
   struct Stats {
@@ -206,11 +193,13 @@ class KernelCache {
   void set_metrics(telemetry::MetricRegistry* metrics) { metrics_ = metrics; }
 
   // Optional, non-owning flight-recorder sink: cache decisions (hit, miss,
-  // evict, quarantine rebuild/poison/half-open/denial) land as journal
-  // events under source "kernel-cache" (the rootfs side gets the sink too,
-  // under "rootfs-cache"). Cache interleaving is host-timing dependent, so
-  // the events are schedule-scoped (full export / Perfetto only). Set
-  // before the first GetOrBuild; the journal must outlive the cache.
+  // evict and invalidate from both tiers, keyed by artifact key or
+  // fingerprint; quarantine rebuild/poison/half-open/denial by app) land as
+  // journal events under source "kernel-cache" (the rootfs side gets the
+  // sink too, under "rootfs-cache"). Cache interleaving is host-timing
+  // dependent, so the events are schedule-scoped (full export / Perfetto
+  // only). Set before the first GetOrBuild; the journal must outlive the
+  // cache.
   void set_journal(telemetry::Journal* journal);
 
   // Publishes the current Stats (and the rootfs cache's) as absolute-valued
@@ -231,34 +220,22 @@ class KernelCache {
   static std::string ConfigFingerprint(const kconfig::Config& config);
 
  private:
-  // An in-progress build other threads can wait on. Waiters hold the
-  // shared_ptr, so the flight outlives its map entry (entries are erased on
-  // completion; failures leave no trace, preserving retry semantics). The
-  // successful artifact is published on the flight itself so waiters get it
-  // even if a tight budget evicts the store entry immediately.
-  struct Flight {
-    bool done = false;
-    Status status = Status::Ok();
-    ArtifactPtr artifact;
-  };
-
+  // One kernel: the image and the boot plan derived from it. Artifacts hold
+  // aliasing pointers into the entry, so a held artifact pins its kernel.
   struct KernelEntry {
-    std::shared_ptr<const kbuild::KernelImage> image;
-    std::shared_ptr<const guestos::BootPlan> boot_plan;
+    kbuild::KernelImage image;
+    guestos::BootPlan boot_plan;
   };
-
-  // Kernel-level flight: the built image rides on the flight so waiters are
-  // immune to an immediate eviction of the store entry.
-  struct KernelFlight {
-    bool done = false;
-    Status status = Status::Ok();
-    KernelEntry entry;
-  };
+  using KernelPtr = std::shared_ptr<const KernelEntry>;
 
   Result<ArtifactPtr> GetOrBuildKeyed(const std::string& key, const std::string& app,
                                       const BuildOptions& options);
+  // The artifact tier's compute: specialize, ensure the kernel, load the
+  // rootfs. Lock-free apart from the accounting at the end.
+  Result<ArtifactPtr> BuildArtifact(const std::string& key, const std::string& app,
+                                    const BuildOptions& options);
 
-  // The front half of provisioning, shared by GetOrBuildKeyed and the staged
+  // The front half of provisioning, shared by BuildArtifact and the staged
   // API: manifest lookup, SpecializeConfig, the batch-general subset proof,
   // and the config fingerprint. Lock-free (the builder is stateless).
   struct Specialization {
@@ -270,21 +247,19 @@ class KernelCache {
   Result<Specialization> SpecializeForApp(const std::string& app,
                                           const BuildOptions& options,
                                           telemetry::SpanTrace* provisioning);
-  // The kernel stage: serve `fingerprint` from the store, join its flight,
-  // or build `config` and publish. Takes mu_ itself (caller must not hold
-  // it); `provisioning` (optional) receives the "build" phase on a build.
-  Result<KernelEntry> EnsureKernel(const kconfig::Config& config,
-                                   const std::string& fingerprint,
-                                   telemetry::SpanTrace* provisioning);
+  // The kernel stage: serve `fingerprint` from the kernel tier, join its
+  // flight, or build `config` and publish. `provisioning` (optional)
+  // receives the "build" phase on a build.
+  Result<KernelPtr> EnsureKernel(const kconfig::Config& config, const std::string& fingerprint,
+                                 telemetry::SpanTrace* provisioning);
 
-  void EvictLocked();
   // Journal emission (schedule-scoped, source "kernel-cache"). Safe under
   // mu_: the journal's own mutex is a leaf.
   void EmitJournal(const char* type, const std::string& app) const;
+  void Count(const char* counter) const;
   // Drops the cached artifact + rootfs blob for `app` (default key) so the
-  // next GetOrBuild rebuilds from scratch. Caller holds mu_.
-  void DropForRebuildLocked(const std::string& app);
-  Nanos QuarantineNowLocked();
+  // next GetOrBuild rebuilds from scratch.
+  void DropForRebuild(const std::string& app);
 
   BuildOptions options_;
   LupineBuilder builder_;
@@ -293,41 +268,23 @@ class KernelCache {
   telemetry::Journal* journal_ = nullptr;
   ProvisionCostModel provision_costs_;
 
+  apps::ContentStore<AppArtifact> artifacts_;  // By artifact key.
+  apps::ContentStore<KernelEntry> kernels_;    // By fingerprint.
+
+  // Guards everything below. Taken before a store's lock, never after.
   mutable std::mutex mu_;
-  std::condition_variable cv_;
-  CacheBudget artifact_budget_;
-  CacheBudget kernel_budget_;
-  std::map<std::string, KernelEntry> kernels_;  // By fingerprint.
-  std::map<std::string, ArtifactPtr> apps_;     // By artifact key.
   // Every artifact key ever served -> the size of its kernel image; survives
   // eviction so bytes_if_unshared reflects the whole fleet, not the
   // currently-resident slice.
   std::map<std::string, Bytes> app_kernel_bytes_;
-  std::map<std::string, std::shared_ptr<Flight>> app_flights_;           // By artifact key.
-  std::map<std::string, std::shared_ptr<KernelFlight>> kernel_flights_;  // By fingerprint.
-  LruTracker artifact_lru_;
-  LruTracker kernel_lru_;
-
-  // Quarantine state, keyed like apps_ (default key = app name).
-  struct LaunchHealth {
-    int failures = 0;          // Since the last (re)build.
-    int rebuilds = 0;          // Rebuilds already spent.
-    Nanos poisoned_until = -1; // -1 = not poisoned.
-  };
-  QuarantinePolicy quarantine_policy_;
-  std::map<std::string, LaunchHealth> quarantine_;
-  std::function<Nanos()> quarantine_now_;  // Unset = host steady clock.
+  size_t general_served_ = 0;
+  // Quarantine state, keyed like the artifact tier (default key = app name).
+  Quarantine quarantine_;
+  std::function<Nanos()> quarantine_now_ = SteadyNanos;
   size_t quarantine_failures_ = 0;
   size_t quarantine_rebuilds_ = 0;
   size_t quarantine_poisoned_ = 0;
   size_t quarantine_denials_ = 0;
-
-  size_t requests_ = 0;
-  size_t builds_ = 0;
-  size_t general_served_ = 0;
-  size_t artifact_evictions_ = 0;
-  size_t kernel_evictions_ = 0;
-  Bytes bytes_evicted_ = 0;
 };
 
 }  // namespace lupine::core

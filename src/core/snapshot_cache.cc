@@ -1,6 +1,5 @@
 #include "src/core/snapshot_cache.h"
 
-#include <chrono>
 #include <utility>
 
 namespace lupine::core {
@@ -11,150 +10,86 @@ std::string SnapshotCache::Key(const std::string& fingerprint,
 }
 
 SnapshotCache::SnapshotPtr SnapshotCache::Put(guestos::Snapshot snapshot) {
-  std::lock_guard lock(mu_);
-  auto existing = entries_.find(snapshot.key);
-  if (existing != entries_.end()) {
+  auto captured = std::make_shared<const guestos::Snapshot>(std::move(snapshot));
+  SnapshotPtr stored = store_.Put(captured->key, captured);
+  if (stored != captured) {
     // First capture wins: two shards cold-booting the same key before either
     // captured race here; the canonical snapshot is whichever landed first.
-    ++stats_.duplicate_captures;
-    if (metrics_ != nullptr) {
-      metrics_->GetCounter("snapshot.duplicate_capture").Increment();
-    }
-    return existing->second;
+    Count("snapshot.duplicate_capture");
+    return stored;
   }
-  auto stored = std::make_shared<const guestos::Snapshot>(std::move(snapshot));
-  entries_.emplace(stored->key, stored);
-  lru_.Insert(stored->key, stored->SizeBytes());
-  ++stats_.captures;
-  stats_.bytes_stored = lru_.bytes();
-  stats_.entries = lru_.entries();
+  Count("snapshot.capture");
   if (metrics_ != nullptr) {
-    metrics_->GetCounter("snapshot.capture").Increment();
     metrics_->GetHistogram("snapshot.capture_ns").Observe(static_cast<double>(stored->capture_ns));
   }
-  EmitJournal("snapshot-capture", stored->key, stored->SizeBytes());
-  EvictLocked();
+  EmitJournal("snapshot-capture", stored->key,
+              {{"bytes", telemetry::FieldValue{stored->SizeBytes()}}});
   return stored;
 }
 
 SnapshotCache::SnapshotPtr SnapshotCache::Find(const std::string& key) {
   std::lock_guard lock(mu_);
-  if (quarantine_policy_.enabled) {
-    auto health = quarantine_.find(key);
-    if (health != quarantine_.end() && health->second.poisoned_until >= 0) {
-      if (QuarantineNowLocked() < health->second.poisoned_until) {
-        ++stats_.denials;
-        ++stats_.misses;
-        if (metrics_ != nullptr) {
-          metrics_->GetCounter("snapshot.quarantine_denials").Increment();
-          metrics_->GetCounter("snapshot.miss").Increment();
-        }
-        EmitJournal("quarantine-denial", key);
-        return nullptr;
-      }
+  switch (quarantine_.Check(key, quarantine_now_())) {
+    case Quarantine::Gate::kDenied:
+      ++stats_.denials;
+      Count("snapshot.quarantine_denials");
+      Count("snapshot.miss");
+      EmitJournal("quarantine-denial", key);
+      return nullptr;
+    case Quarantine::Gate::kProbe:
       // TTL expired: half-open. This lookup is the probe; another failure
       // poisons again immediately.
-      health->second = RestoreHealth{};
-      health->second.recaptures = quarantine_policy_.recapture_limit;
       EmitJournal("half-open", key);
-    }
+      break;
+    case Quarantine::Gate::kOpen:
+      break;
   }
-  auto it = entries_.find(key);
-  if (it == entries_.end()) {
-    ++stats_.misses;
-    if (metrics_ != nullptr) {
-      metrics_->GetCounter("snapshot.miss").Increment();
-    }
-    return nullptr;
-  }
-  lru_.Touch(key);
-  ++stats_.hits;
-  if (metrics_ != nullptr) {
-    metrics_->GetCounter("snapshot.hit").Increment();
-  }
-  return it->second;
-}
-
-bool SnapshotCache::Contains(const std::string& key) const {
-  std::lock_guard lock(mu_);
-  return entries_.count(key) != 0;
+  SnapshotPtr found = store_.Find(key);
+  Count(found != nullptr ? "snapshot.hit" : "snapshot.miss");
+  return found;
 }
 
 void SnapshotCache::RecordRestore(const guestos::Snapshot& snapshot, bool ok) {
-  std::lock_guard lock(mu_);
-  if (ok) {
-    ++stats_.restores;
-  } else {
-    ++stats_.restore_failures;
+  {
+    std::lock_guard lock(mu_);
+    ++(ok ? stats_.restores : stats_.restore_failures);
   }
-  if (metrics_ != nullptr) {
-    metrics_->GetCounter(ok ? "snapshot.restore" : "snapshot.restore_failure").Increment();
-    if (ok) {
-      metrics_->GetHistogram("snapshot.restore_ns")
-          .Observe(static_cast<double>(snapshot.restore_ns));
-    }
+  Count(ok ? "snapshot.restore" : "snapshot.restore_failure");
+  if (metrics_ != nullptr && ok) {
+    metrics_->GetHistogram("snapshot.restore_ns")
+        .Observe(static_cast<double>(snapshot.restore_ns));
   }
-  if (journal_ != nullptr) {
-    telemetry::Event event;
-    event.source = "snapshot-cache";
-    event.type = "snapshot-restore";
-    event.schedule_scoped = true;  // Cache interleaving is host-timing bound.
-    event.fields = {{"key", telemetry::FieldValue{snapshot.key}},
-                    {"ok", telemetry::FieldValue{uint64_t{ok ? 1u : 0u}}},
-                    {"restore_ns", telemetry::FieldValue{static_cast<uint64_t>(snapshot.restore_ns)}}};
-    journal_->Emit(std::move(event));
-  }
+  EmitJournal("snapshot-restore", snapshot.key,
+              {{"ok", telemetry::FieldValue{uint64_t{ok ? 1u : 0u}}},
+               {"restore_ns", telemetry::FieldValue{static_cast<uint64_t>(snapshot.restore_ns)}}});
 }
 
 void SnapshotCache::ReportRestoreFailure(const std::string& key) {
   std::lock_guard lock(mu_);
-  if (!quarantine_policy_.enabled) {
-    return;
-  }
-  RestoreHealth& health = quarantine_[key];
-  if (health.poisoned_until >= 0) {
-    return;  // Already poisoned; stragglers mid-flight change nothing.
-  }
-  if (++health.failures < quarantine_policy_.failures_per_strike) {
-    return;
-  }
-  health.failures = 0;
-  auto drop = [&] {
-    auto it = entries_.find(key);
-    if (it == entries_.end()) {
+  switch (quarantine_.Fail(key, quarantine_now_())) {
+    case Quarantine::Strike::kNone:
       return;
-    }
-    lru_.Erase(key);
-    entries_.erase(it);
-    stats_.bytes_stored = lru_.bytes();
-    stats_.entries = lru_.entries();
-  };
-  if (health.recaptures < quarantine_policy_.recapture_limit) {
-    // Strike one: drop-once. The next boot recaptures from scratch instead
-    // of re-serving the suspect memory file.
-    ++health.recaptures;
-    ++stats_.drops;
-    drop();
-    if (metrics_ != nullptr) {
-      metrics_->GetCounter("snapshot.quarantine_drops").Increment();
-    }
-    EmitJournal("quarantine-drop", key);
-    return;
+    case Quarantine::Strike::kDrop:
+      // Strike one: drop-once. The next boot recaptures from scratch instead
+      // of re-serving the suspect memory file.
+      ++stats_.drops;
+      Count("snapshot.quarantine_drops");
+      EmitJournal("quarantine-drop", key);
+      break;
+    case Quarantine::Strike::kPoison:
+      // The recapture failed too: poison. Every Find until the TTL misses
+      // fast, so the fleet cold-boots instead of restore-crash-looping.
+      ++stats_.poisoned;
+      Count("snapshot.quarantine_poisoned");
+      EmitJournal("snapshot-poison", key);
+      break;
   }
-  // The recapture failed too: poison. Every Find until the TTL misses fast,
-  // so the fleet cold-boots instead of restore-crash-looping.
-  health.poisoned_until = QuarantineNowLocked() + quarantine_policy_.poison_ttl;
-  ++stats_.poisoned;
-  drop();
-  if (metrics_ != nullptr) {
-    metrics_->GetCounter("snapshot.quarantine_poisoned").Increment();
-  }
-  EmitJournal("snapshot-poison", key);
+  store_.Erase(key);
 }
 
-void SnapshotCache::set_quarantine(SnapshotQuarantine policy) {
+void SnapshotCache::set_quarantine(QuarantinePolicy policy) {
   std::lock_guard lock(mu_);
-  quarantine_policy_ = policy;
+  quarantine_.set_policy(policy);
 }
 
 void SnapshotCache::set_quarantine_clock(std::function<Nanos()> now) {
@@ -162,81 +97,52 @@ void SnapshotCache::set_quarantine_clock(std::function<Nanos()> now) {
   quarantine_now_ = std::move(now);
 }
 
-Nanos SnapshotCache::QuarantineNowLocked() {
-  if (quarantine_now_) {
-    return quarantine_now_();
+void SnapshotCache::Count(const char* counter) const {
+  if (metrics_ != nullptr) {
+    metrics_->GetCounter(counter).Increment();
   }
-  return std::chrono::duration_cast<std::chrono::nanoseconds>(
-             std::chrono::steady_clock::now().time_since_epoch())
-      .count();
-}
-
-void SnapshotCache::EvictLocked() {
-  stats_.evictions += lru_.EvictOver(
-      budget_,
-      [&](const std::string& key) { return entries_.at(key).use_count() > 1; },
-      [&](const std::string& key, Bytes bytes) {
-        stats_.bytes_evicted += bytes;
-        EmitJournal("evict", key, bytes);
-        entries_.erase(key);
-      });
-  stats_.bytes_stored = lru_.bytes();
-  stats_.entries = lru_.entries();
-}
-
-void SnapshotCache::set_budget(CacheBudget budget) {
-  std::lock_guard lock(mu_);
-  budget_ = budget;
-  EvictLocked();
 }
 
 void SnapshotCache::EmitJournal(const char* type, const std::string& key,
-                                uint64_t bytes) const {
-  if (journal_ == nullptr) {
-    return;
-  }
-  telemetry::Event event;
-  event.source = "snapshot-cache";
-  event.type = type;
-  event.schedule_scoped = true;  // Cache interleaving is host-timing bound.
-  event.fields = {{"key", telemetry::FieldValue{key}}};
-  if (bytes != 0) {
-    event.fields.push_back({"bytes", telemetry::FieldValue{bytes}});
-  }
-  journal_->Emit(std::move(event));
+                                std::vector<telemetry::Field> more) const {
+  apps::EmitCacheEvent(journal_, "snapshot-cache", type, "key", key, std::move(more));
 }
 
 SnapshotCache::Stats SnapshotCache::stats() const {
+  const auto store = store_.stats();
   std::lock_guard lock(mu_);
   Stats out = stats_;
-  // Pinned bytes: entries some caller still references.
-  out.bytes_pinned = 0;
-  for (const auto& [key, snapshot] : entries_) {
-    if (snapshot.use_count() > 1) {
-      out.bytes_pinned += snapshot->SizeBytes();
-    }
-  }
+  out.hits = store.hits;
+  out.misses = store.misses + out.denials;  // A denial is a miss too.
+  out.captures = store.puts;
+  out.duplicate_captures = store.duplicate_puts;
+  out.evictions = store.evictions;
+  out.bytes_stored = store.bytes_stored;
+  out.bytes_evicted = store.bytes_evicted;
+  out.bytes_pinned = store.bytes_pinned;
+  out.entries = store.entries;
   return out;
 }
 
 void SnapshotCache::PublishMetrics(telemetry::MetricRegistry& registry) const {
   const Stats s = stats();
-  registry.GetGauge("snapshotcache.hits").Set(static_cast<int64_t>(s.hits));
-  registry.GetGauge("snapshotcache.misses").Set(static_cast<int64_t>(s.misses));
-  registry.GetGauge("snapshotcache.captures").Set(static_cast<int64_t>(s.captures));
-  registry.GetGauge("snapshotcache.duplicate_captures")
-      .Set(static_cast<int64_t>(s.duplicate_captures));
-  registry.GetGauge("snapshotcache.restores").Set(static_cast<int64_t>(s.restores));
-  registry.GetGauge("snapshotcache.restore_failures")
-      .Set(static_cast<int64_t>(s.restore_failures));
-  registry.GetGauge("snapshotcache.evictions").Set(static_cast<int64_t>(s.evictions));
-  registry.GetGauge("snapshotcache.bytes_stored").Set(static_cast<int64_t>(s.bytes_stored));
-  registry.GetGauge("snapshotcache.bytes_evicted").Set(static_cast<int64_t>(s.bytes_evicted));
-  registry.GetGauge("snapshotcache.bytes_pinned").Set(static_cast<int64_t>(s.bytes_pinned));
-  registry.GetGauge("snapshotcache.entries").Set(static_cast<int64_t>(s.entries));
-  registry.GetGauge("snapshotcache.quarantine_drops").Set(static_cast<int64_t>(s.drops));
-  registry.GetGauge("snapshotcache.quarantine_poisoned").Set(static_cast<int64_t>(s.poisoned));
-  registry.GetGauge("snapshotcache.quarantine_denials").Set(static_cast<int64_t>(s.denials));
+  auto set = [&registry](const char* name, uint64_t value) {
+    registry.GetGauge(name).Set(static_cast<int64_t>(value));
+  };
+  set("snapshotcache.hits", s.hits);
+  set("snapshotcache.misses", s.misses);
+  set("snapshotcache.captures", s.captures);
+  set("snapshotcache.duplicate_captures", s.duplicate_captures);
+  set("snapshotcache.restores", s.restores);
+  set("snapshotcache.restore_failures", s.restore_failures);
+  set("snapshotcache.evictions", s.evictions);
+  set("snapshotcache.bytes_stored", s.bytes_stored);
+  set("snapshotcache.bytes_evicted", s.bytes_evicted);
+  set("snapshotcache.bytes_pinned", s.bytes_pinned);
+  set("snapshotcache.entries", s.entries);
+  set("snapshotcache.quarantine_drops", s.drops);
+  set("snapshotcache.quarantine_poisoned", s.poisoned);
+  set("snapshotcache.quarantine_denials", s.denials);
 }
 
 }  // namespace lupine::core

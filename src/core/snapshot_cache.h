@@ -8,46 +8,39 @@
 // LRU over memory-file bytes; entries still referenced outside the cache
 // (a restore in flight, a parked warm guest) are pinned against eviction.
 //
-// Restore failures are contained with the same drop-once-then-poison state
-// machine KernelCache uses for launch failures: the first reported failure
-// drops the entry so the next boot recaptures from scratch (maybe the
-// capture was the problem); a failure after the recapture poisons the key —
-// Find() returns a denial (miss) until the TTL passes, at which point one
-// half-open probe lookup is allowed through again.
+// Restore failures are contained by the same drop-once-then-poison
+// Quarantine (util/retry.h) KernelCache uses for launch failures: the first
+// reported failure drops the entry so the next boot recaptures from scratch
+// (maybe the capture was the problem); a failure after the recapture poisons
+// the key — Find() returns a denial (miss) until the TTL passes, at which
+// point one half-open probe lookup is allowed through again, and a failure
+// after it poisons again at once.
 #ifndef SRC_CORE_SNAPSHOT_CACHE_H_
 #define SRC_CORE_SNAPSHOT_CACHE_H_
 
 #include <cstdint>
 #include <functional>
-#include <map>
 #include <memory>
 #include <mutex>
 #include <string>
+#include <vector>
 
+#include "src/apps/content_store.h"
 #include "src/guestos/snapshot.h"
 #include "src/telemetry/journal.h"
 #include "src/telemetry/metrics.h"
-#include "src/util/lru.h"
+#include "src/util/retry.h"
 
 namespace lupine::core {
-
-// Restore-failure containment policy (mirrors core::QuarantinePolicy for
-// kernel artifacts; see the header comment for the state machine).
-struct SnapshotQuarantine {
-  bool enabled = true;
-  // Reported failures that trigger a drop/recapture or (post-recapture) poison.
-  int failures_per_strike = 1;
-  // Recaptures granted before the key is poisoned ("recapture-once").
-  int recapture_limit = 1;
-  // How long a poisoned key misses fast before a probe is allowed.
-  Nanos poison_ttl = Seconds(30);
-};
 
 class SnapshotCache {
  public:
   using SnapshotPtr = std::shared_ptr<const guestos::Snapshot>;
 
-  explicit SnapshotCache(CacheBudget budget = {}) : budget_(budget) {}
+  explicit SnapshotCache(CacheBudget budget = {})
+      : store_("snapshot-cache",
+               [](const guestos::Snapshot& snapshot) -> Bytes { return snapshot.SizeBytes(); },
+               budget) {}
   SnapshotCache(const SnapshotCache&) = delete;
   SnapshotCache& operator=(const SnapshotCache&) = delete;
 
@@ -69,7 +62,7 @@ class SnapshotCache {
   SnapshotPtr Find(const std::string& key);
 
   // Residency check without touching hit/miss counters or the LRU order.
-  bool Contains(const std::string& key) const;
+  bool Contains(const std::string& key) const { return store_.Contains(key); }
 
   // Accounting for a restore attempt against `snapshot` (drives the
   // snapshot.restore counters + restore_ns histogram + journal event).
@@ -79,9 +72,9 @@ class SnapshotCache {
   // the drop-once-then-poison state machine above.
   void ReportRestoreFailure(const std::string& key);
 
-  void set_quarantine(SnapshotQuarantine policy);
-  // TTL time source, monotonic nanos. Default: host steady clock since
-  // construction. Tests inject a manual clock for deterministic expiry.
+  void set_quarantine(QuarantinePolicy policy);
+  // TTL time source, monotonic nanos. Default: the host steady clock.
+  // Tests inject a manual clock for deterministic expiry.
   void set_quarantine_clock(std::function<Nanos()> now);
 
   struct Stats {
@@ -110,42 +103,36 @@ class SnapshotCache {
   void set_metrics(telemetry::MetricRegistry* metrics) { metrics_ = metrics; }
 
   // Optional, non-owning flight-recorder sink: cache decisions
-  // (snapshot-capture, snapshot-restore, evict, quarantine drop/poison/
-  // half-open/denial) land under source "snapshot-cache". Cache interleaving
-  // is host-timing dependent, so the events are schedule-scoped (full
-  // export / Perfetto only). Must outlive the cache.
-  void set_journal(telemetry::Journal* journal) { journal_ = journal; }
+  // (snapshot-capture, snapshot-restore, hit/miss/evict/invalidate,
+  // quarantine drop/poison/half-open/denial) land under source
+  // "snapshot-cache". Cache interleaving is host-timing dependent, so the
+  // events are schedule-scoped (full export / Perfetto only). Set before the
+  // first Put; the journal must outlive the cache.
+  void set_journal(telemetry::Journal* journal) {
+    journal_ = journal;
+    store_.set_journal(journal);
+  }
 
   // Publishes the current Stats as absolute-valued `snapshotcache.*` gauges.
   // Idempotent — call at a snapshot point (end of a serving run).
   void PublishMetrics(telemetry::MetricRegistry& registry) const;
 
   // Replaces the retention budget and immediately evicts down to it.
-  void set_budget(CacheBudget budget);
+  void set_budget(CacheBudget budget) { store_.set_budget(budget); }
 
  private:
-  void EvictLocked();
+  void Count(const char* counter) const;
   void EmitJournal(const char* type, const std::string& key,
-                   uint64_t bytes = 0) const;
-  Nanos QuarantineNowLocked();
+                   std::vector<telemetry::Field> more = {}) const;
 
   telemetry::MetricRegistry* metrics_ = nullptr;
   telemetry::Journal* journal_ = nullptr;
+  apps::ContentStore<guestos::Snapshot> store_;
 
+  // Guards the quarantine and the counters the store does not keep.
   mutable std::mutex mu_;
-  CacheBudget budget_;
-  std::map<std::string, SnapshotPtr> entries_;
-  LruTracker lru_;
-
-  struct RestoreHealth {
-    int failures = 0;           // Since the last capture.
-    int recaptures = 0;         // Recaptures already spent.
-    Nanos poisoned_until = -1;  // -1 = not poisoned.
-  };
-  SnapshotQuarantine quarantine_policy_;
-  std::map<std::string, RestoreHealth> quarantine_;
-  std::function<Nanos()> quarantine_now_;  // Unset = host steady clock.
-
+  Quarantine quarantine_;
+  std::function<Nanos()> quarantine_now_ = SteadyNanos;
   Stats stats_;
 };
 

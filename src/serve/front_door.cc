@@ -12,6 +12,7 @@
 
 #include "src/serve/warm_pool.h"
 #include "src/util/prng.h"
+#include "src/util/retry.h"
 #include "src/util/scheduler.h"
 #include "src/vmm/vm.h"
 
@@ -87,9 +88,6 @@ Result<ServeResult> RunServing(core::KernelCache& cache, core::SnapshotCache& sn
     size_t refills_inflight = 0;  // Restores running off the request path.
     bool snapshot_ready = false;
     bool capture_inflight = false;
-    Nanos poisoned_until = -1;
-    int failures = 0;
-    int recaptures = 0;
     int epoch = 0;                // Bumped on every (re)capture.
     FaultInjector injector;       // kSnapshotRestore schedule, DES-evaluated.
     // Plan bookkeeping for the execution phase.
@@ -218,46 +216,43 @@ Result<ServeResult> RunServing(core::KernelCache& cache, core::SnapshotCache& sn
     options.journal->Emit(at, "serve", type, std::move(all));
   };
 
+  // Restore-failure containment on the virtual clock: the same Quarantine
+  // SnapshotCache runs on the host clock, keyed by app.
+  Quarantine quarantine(options.quarantine);
+
   // Is the app's snapshot available for a restore right now? Handles the
-  // poison TTL and the half-open probe (mirrors SnapshotCache::Find).
+  // poison TTL and the half-open probe (as SnapshotCache::Find does).
   auto usable = [&](AppState& s, Nanos now, bool count_denial) {
-    if (s.poisoned_until >= 0) {
-      if (now < s.poisoned_until) {
-        if (count_denial) {
-          ++result.quarantine_denials;
-        }
+    switch (quarantine.Check(s.app, now)) {
+      case Quarantine::Gate::kDenied:
+        result.quarantine_denials += count_denial ? 1 : 0;
         return false;
-      }
-      s.poisoned_until = -1;
-      s.failures = 0;
-      s.recaptures = options.quarantine.recapture_limit;
-      ++result.probes;
-      emit(now, "snapshot-probe", s.app);
+      case Quarantine::Gate::kProbe:
+        ++result.probes;
+        emit(now, "snapshot-probe", s.app);
+        break;
+      case Quarantine::Gate::kOpen:
+        break;
     }
     return s.snapshot_ready;
   };
 
-  // One restore failure against the app's snapshot (mirrors
+  // One restore failure against the app's snapshot (as
   // SnapshotCache::ReportRestoreFailure: drop-once, then poison).
   auto strike = [&](AppState& s, Nanos now) {
-    if (!options.quarantine.enabled || s.poisoned_until >= 0) {
-      return;
+    switch (quarantine.Fail(s.app, now)) {
+      case Quarantine::Strike::kNone:
+        return;
+      case Quarantine::Strike::kDrop:
+        ++result.quarantine_drops;
+        emit(now, "snapshot-drop", s.app);
+        break;
+      case Quarantine::Strike::kPoison:
+        ++result.quarantine_poisoned;
+        emit(now, "snapshot-poison", s.app);
+        break;
     }
-    if (++s.failures < options.quarantine.failures_per_strike) {
-      return;
-    }
-    s.failures = 0;
-    if (s.recaptures < options.quarantine.recapture_limit) {
-      ++s.recaptures;
-      ++result.quarantine_drops;
-      s.snapshot_ready = false;
-      emit(now, "snapshot-drop", s.app);
-      return;
-    }
-    s.poisoned_until = now + options.quarantine.poison_ttl;
-    ++result.quarantine_poisoned;
     s.snapshot_ready = false;
-    emit(now, "snapshot-poison", s.app);
   };
 
   // Keep the app's pool heading toward warm_target, bounded by the refill
@@ -277,7 +272,7 @@ Result<ServeResult> RunServing(core::KernelCache& cache, core::SnapshotCache& sn
 
   auto maybe_capture = [&](AppState& s, size_t app, size_t req, Nanos ready_at,
                            Planned& p) -> Nanos {
-    if (s.snapshot_ready || s.capture_inflight || s.poisoned_until >= 0) {
+    if (s.snapshot_ready || s.capture_inflight || quarantine.poisoned(s.app)) {
       return 0;
     }
     s.capture_inflight = true;
@@ -401,7 +396,7 @@ Result<ServeResult> RunServing(core::KernelCache& cache, core::SnapshotCache& sn
       case Ev::kCaptureDone: {
         AppState& s = states[ev.idx];
         s.capture_inflight = false;
-        if (s.poisoned_until < 0 && ev.epoch == s.epoch) {
+        if (!quarantine.poisoned(s.app) && ev.epoch == s.epoch) {
           s.snapshot_ready = true;
           emit(ev.at, "snapshot-capture", s.app);
           top_up(ev.idx, ev.at);
@@ -439,26 +434,12 @@ Result<ServeResult> RunServing(core::KernelCache& cache, core::SnapshotCache& sn
   }
 
   // DES counter tracks (deterministic Perfetto ph:"C" inputs).
-  {
-    auto fold = [](std::string name, std::vector<std::pair<Nanos, double>> deltas) {
-      std::sort(deltas.begin(), deltas.end(),
-                [](const auto& a, const auto& b) { return a.first < b.first; });
-      telemetry::CounterSeries series;
-      series.name = std::move(name);
-      double level = 0.0;
-      for (size_t i = 0; i < deltas.size();) {
-        const Nanos at = deltas[i].first;
-        for (; i < deltas.size() && deltas[i].first == at; ++i) {
-          level += deltas[i].second;
-        }
-        series.points.emplace_back(at, level);
-      }
-      return series;
-    };
-    result.counter_tracks.push_back(fold("serve.queue_depth", std::move(queue_deltas)));
-    result.counter_tracks.push_back(fold("serve.inflight", std::move(inflight_deltas)));
-    result.counter_tracks.push_back(fold("serve.warm_live", std::move(warm_deltas)));
-  }
+  result.counter_tracks.push_back(
+      telemetry::FoldCounterDeltas("serve.queue_depth", std::move(queue_deltas)));
+  result.counter_tracks.push_back(
+      telemetry::FoldCounterDeltas("serve.inflight", std::move(inflight_deltas)));
+  result.counter_tracks.push_back(
+      telemetry::FoldCounterDeltas("serve.warm_live", std::move(warm_deltas)));
 
   // ---- Phase 3: host execution against the real subsystems ----------------
   if (options.execute && !trace.empty()) {

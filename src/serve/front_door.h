@@ -17,13 +17,12 @@
 //      `slots` concurrent instances, a per-app warm pool refilled
 //      asynchronously (`warm_target`, `refill_concurrency`), snapshot
 //      restore on-demand when the pool is dry, cold boot (plus capture)
-//      when no snapshot exists, and the SnapshotQuarantine
-//      drop-once-then-poison state machine driven by injected
-//      kSnapshotRestore faults. Every reported figure — TTFR percentiles,
-//      warm-hit ratio, per-request records, canonical journal events
-//      (source "serve") — comes from this phase, so the numbers are a pure
-//      function of (options, costs) and byte-identical across worker
-//      counts by construction.
+//      when no snapshot exists, and the drop-once-then-poison Quarantine
+//      (util/retry.h) driven by injected kSnapshotRestore faults. Every
+//      reported figure — TTFR percentiles, warm-hit ratio, per-request
+//      records, canonical journal events (source "serve") — comes from
+//      this phase, so the numbers are a pure function of (options, costs)
+//      and byte-identical across worker counts by construction.
 //
 //   3. Host execution (optional, `execute`). The DES-planned request and
 //      refill tasks run on util/scheduler worker threads against the REAL
@@ -49,6 +48,7 @@
 #include "src/telemetry/journal.h"
 #include "src/telemetry/metrics.h"
 #include "src/util/fault.h"
+#include "src/util/retry.h"
 
 namespace lupine::serve {
 
@@ -76,7 +76,7 @@ struct ServeOptions {
   Bytes host_budget = 0;
   // Restore-failure containment, mirrored by the DES model and applied to
   // `snapshots` for the execution phase.
-  core::SnapshotQuarantine quarantine;
+  QuarantinePolicy quarantine;
   // Optional fault schedule; kSnapshotRestore rules drive restore failures
   // (per-app injectors forked off plan.seed, DES-evaluated — deterministic).
   const FaultPlan* fault_plan = nullptr;

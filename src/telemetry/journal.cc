@@ -53,6 +53,23 @@ std::string EventToJsonLine(const Event& event) {
   return out;
 }
 
+CounterSeries FoldCounterDeltas(std::string name,
+                                std::vector<std::pair<Nanos, double>> deltas) {
+  std::sort(deltas.begin(), deltas.end(),
+            [](const auto& a, const auto& b) { return a.first < b.first; });
+  CounterSeries series;
+  series.name = std::move(name);
+  double level = 0.0;
+  for (size_t i = 0; i < deltas.size();) {
+    const Nanos at = deltas[i].first;
+    for (; i < deltas.size() && deltas[i].first == at; ++i) {
+      level += deltas[i].second;
+    }
+    series.points.emplace_back(at, level);
+  }
+  return series;
+}
+
 void Journal::Emit(Event event) {
   std::lock_guard<std::mutex> lock(mu_);
   auto it = rings_.find(event.source);

@@ -65,6 +65,11 @@ struct CounterSeries {
   std::vector<std::pair<Nanos, double>> points;  // (virtual ns, value)
 };
 
+// Folds (virtual ns, delta) pairs in any order into a level track: one point
+// per distinct timestamp, carrying the running sum after all its deltas.
+CounterSeries FoldCounterDeltas(std::string name,
+                                std::vector<std::pair<Nanos, double>> deltas);
+
 // Renders one FieldValue as a JSON scalar (strings quoted + escaped).
 std::string FieldValueToJson(const FieldValue& value);
 

@@ -1,6 +1,7 @@
 #include "src/util/retry.h"
 
 #include <algorithm>
+#include <chrono>
 #include <cmath>
 
 #include "src/util/units.h"
@@ -152,6 +153,48 @@ double CircuitBreaker::failure_ratio() const {
     return 0.0;
   }
   return static_cast<double>(window_failures_) / static_cast<double>(window_.size());
+}
+
+Quarantine::Gate Quarantine::Check(const std::string& key, Nanos now) {
+  if (!policy_.enabled) {
+    return Gate::kOpen;
+  }
+  auto it = health_.find(key);
+  if (it == health_.end() || it->second.poisoned_until < 0) {
+    return Gate::kOpen;
+  }
+  if (now < it->second.poisoned_until) {
+    return Gate::kDenied;
+  }
+  it->second.poisoned_until = -1;  // Half-open: the drop stays spent.
+  return Gate::kProbe;
+}
+
+Quarantine::Strike Quarantine::Fail(const std::string& key, Nanos now) {
+  if (!policy_.enabled) {
+    return Strike::kNone;
+  }
+  Health& health = health_[key];
+  if (health.poisoned_until >= 0) {
+    return Strike::kNone;
+  }
+  if (!health.dropped) {
+    health.dropped = true;
+    return Strike::kDrop;
+  }
+  health.poisoned_until = now + policy_.poison_ttl;
+  return Strike::kPoison;
+}
+
+bool Quarantine::poisoned(const std::string& key) const {
+  auto it = health_.find(key);
+  return it != health_.end() && it->second.poisoned_until >= 0;
+}
+
+Nanos SteadyNanos() {
+  return std::chrono::duration_cast<std::chrono::nanoseconds>(
+             std::chrono::steady_clock::now().time_since_epoch())
+      .count();
 }
 
 }  // namespace lupine

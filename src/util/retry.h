@@ -17,6 +17,9 @@
 //     In fail-fast mode a tripped breaker denies further launches (with a
 //     deterministic half-open probe cadence); in best-effort mode it only
 //     counts trips so the fleet keeps limping.
+//   * Quarantine — per-key drop-once-then-poison containment for cached
+//     artifacts whose launches (or restores) keep failing, shared by the
+//     kernel and snapshot caches and the serving simulation.
 //
 // Everything draws from util/prng and prices delays on the virtual
 // timeline, so a given policy + seed reproduces its schedule byte for byte.
@@ -25,6 +28,7 @@
 
 #include <cstdint>
 #include <deque>
+#include <map>
 #include <mutex>
 #include <string>
 
@@ -169,6 +173,55 @@ class CircuitBreaker {
   size_t denied_ = 0;
   size_t denied_since_probe_ = 0;
 };
+
+// How a cache contains a key whose launches keep failing. A cached blob
+// every shard re-boots is a fleet-wide blast radius: without containment one
+// bad artifact crash-loops rounds x workers VMs.
+struct QuarantinePolicy {
+  bool enabled = true;
+  // How long a poisoned key fails fast before a probe is allowed.
+  Nanos poison_ttl = Seconds(30);
+};
+
+// Drop-once-then-poison, per key. The first failure asks the caller to drop
+// the cached value so the next use rebuilds it from scratch (maybe the build
+// was the problem); a failure after that poisons the key, and Check denies
+// it until the TTL passes. The first Check after expiry is the half-open
+// probe: the poison clears and the next failure poisons again at once, unless
+// the caller Forgets the key to grant a fresh drop.
+//
+// Not thread-safe: it runs under its caller's lock. Time is an argument, so
+// the host-clock caches and the serving simulation's virtual clock run the
+// same code.
+class Quarantine {
+ public:
+  enum class Gate { kOpen, kDenied, kProbe };
+  enum class Strike { kNone, kDrop, kPoison };
+
+  explicit Quarantine(QuarantinePolicy policy = {}) : policy_(policy) {}
+
+  const QuarantinePolicy& policy() const { return policy_; }
+  void set_policy(QuarantinePolicy policy) { policy_ = policy; }
+
+  Gate Check(const std::string& key, Nanos now);
+  // One reported failure. kNone when disabled or already poisoned (failures
+  // of launches still in flight change nothing).
+  Strike Fail(const std::string& key, Nanos now);
+  // True from a poison until the probe that clears it, even past the TTL.
+  bool poisoned(const std::string& key) const;
+  void Forget(const std::string& key) { health_.erase(key); }
+
+ private:
+  struct Health {
+    bool dropped = false;       // The one drop is spent.
+    Nanos poisoned_until = -1;  // -1 = not poisoned.
+  };
+  QuarantinePolicy policy_;
+  std::map<std::string, Health> health_;
+};
+
+// Host steady-clock nanoseconds: the caches' default quarantine clock.
+Nanos SteadyNanos();
 
 }  // namespace lupine
 

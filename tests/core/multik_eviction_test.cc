@@ -3,11 +3,14 @@
 // bounded memory under a fleet that keeps rebuilding with churning options.
 #include <gtest/gtest.h>
 
+#include <set>
 #include <string>
+#include <variant>
 #include <vector>
 
 #include "src/core/multik.h"
 #include "src/kconfig/option_names.h"
+#include "src/telemetry/journal.h"
 
 namespace lupine::core {
 namespace {
@@ -106,6 +109,38 @@ TEST(MultikEvictionTest, EvictedKernelIsRebuiltOnDemand) {
   const size_t builds_before = cache.stats().builds;
   ASSERT_TRUE(cache.GetOrBuild("redis").ok());  // Miss: transparent rebuild.
   EXPECT_EQ(cache.stats().builds, builds_before + 1);
+}
+
+TEST(MultikEvictionTest, BothTiersJournalEvictionsUnderTheirKey) {
+  CacheBudget one_entry;
+  one_entry.max_entries = 1;
+  KernelCache cache(BuildOptions{}, one_entry, one_entry);
+  telemetry::Journal journal;
+  cache.set_journal(&journal);
+
+  std::string redis_fingerprint;
+  {
+    auto redis = cache.GetOrBuild("redis");
+    ASSERT_TRUE(redis.ok());
+    redis_fingerprint = (*redis)->fingerprint;
+  }
+  ASSERT_TRUE(cache.GetOrBuild("nginx").ok());  // Evicts redis at both levels.
+  ASSERT_EQ(cache.stats().artifact_evictions, 1u);
+  ASSERT_EQ(cache.stats().kernel_evictions, 1u);
+
+  std::set<std::string> evicted;
+  for (const telemetry::Event& event : journal.Snapshot(/*include_schedule_scoped=*/true)) {
+    if (event.source != "kernel-cache" || event.type != "evict") {
+      continue;
+    }
+    for (const telemetry::Field& field : event.fields) {
+      if (field.key == "key") {
+        evicted.insert(std::get<std::string>(field.value));
+      }
+    }
+  }
+  // The artifact tier keys default-option artifacts by app name.
+  EXPECT_EQ(evicted, (std::set<std::string>{"redis", redis_fingerprint}));
 }
 
 }  // namespace

@@ -71,33 +71,6 @@ TEST(QuarantineTest, DisabledPolicyNeverDropsOrDenies) {
   EXPECT_EQ(stats.quarantine_denials, 0u);
 }
 
-TEST(QuarantineTest, FailuresPerStrikeToleratesFlakyLaunches) {
-  ManualClockCache fixture(QuarantinePolicy{.failures_per_strike = 3});
-  KernelCache& cache = fixture.cache;
-  ASSERT_TRUE(cache.GetOrBuild("redis").ok());
-  cache.ReportLaunchFailure("redis");
-  cache.ReportLaunchFailure("redis");
-  EXPECT_EQ(cache.stats().quarantine_rebuilds, 0u);  // Two strikes tolerated.
-  cache.ReportLaunchFailure("redis");
-  EXPECT_EQ(cache.stats().quarantine_rebuilds, 1u);  // Third completes a strike.
-  EXPECT_EQ(cache.stats().quarantine_failures, 3u);
-}
-
-TEST(QuarantineTest, RebuildLimitGrantsMultipleRebuilds) {
-  ManualClockCache fixture(QuarantinePolicy{.rebuild_limit = 2});
-  KernelCache& cache = fixture.cache;
-  ASSERT_TRUE(cache.GetOrBuild("redis").ok());
-  cache.ReportLaunchFailure("redis");
-  ASSERT_TRUE(cache.GetOrBuild("redis").ok());
-  cache.ReportLaunchFailure("redis");
-  EXPECT_EQ(cache.stats().quarantine_rebuilds, 2u);
-  EXPECT_EQ(cache.stats().quarantine_poisoned, 0u);
-  ASSERT_TRUE(cache.GetOrBuild("redis").ok());
-  cache.ReportLaunchFailure("redis");  // Third strike exceeds the limit.
-  EXPECT_EQ(cache.stats().quarantine_poisoned, 1u);
-  EXPECT_FALSE(cache.GetOrBuild("redis").ok());
-}
-
 TEST(QuarantineTest, PoisonedReportsAreIgnoredUntilProbe) {
   ManualClockCache fixture;
   KernelCache& cache = fixture.cache;

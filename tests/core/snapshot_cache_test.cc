@@ -86,10 +86,7 @@ TEST(SnapshotCacheTest, RestoreFailureDropsOnceThenPoisonsThenProbes) {
   SnapshotCache cache;
   Nanos now = 0;
   cache.set_quarantine_clock([&now] { return now; });
-  cache.set_quarantine({.enabled = true,
-                        .failures_per_strike = 1,
-                        .recapture_limit = 1,
-                        .poison_ttl = Millis(100)});
+  cache.set_quarantine({.enabled = true, .poison_ttl = Millis(100)});
 
   cache.Put(MakeSnapshot("k"));
   // Strike 1: the entry is dropped so the next boot recaptures.
@@ -178,10 +175,7 @@ TEST(SnapshotCacheTest, PublishesMetricsAndJournalEvents) {
 
 TEST(QuarantineStormTest, ConcurrentSnapshotPutsFindsAndFailuresStayConsistent) {
   SnapshotCache cache({.max_bytes = 64 * kMiB});
-  cache.set_quarantine({.enabled = true,
-                        .failures_per_strike = 2,
-                        .recapture_limit = 2,
-                        .poison_ttl = Millis(1)});
+  cache.set_quarantine({.enabled = true, .poison_ttl = Millis(1)});
   std::vector<std::thread> threads;
   threads.reserve(8);
   for (int t = 0; t < 8; ++t) {
