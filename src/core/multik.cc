@@ -39,20 +39,24 @@ std::unique_ptr<vmm::Vm> KernelCache::AppArtifact::Launch(Bytes memory,
 }
 
 std::string KernelCache::ConfigFingerprint(const kconfig::Config& config) {
-  // Canonical text: sorted option=value lines + build knobs. (EnabledOptions
-  // is already sorted; Config::name deliberately excluded — two differently
+  // Canonical text: NAME=value; for every enabled option in name order, then
+  // the build knobs. (Config::name deliberately excluded — two differently
   // named but identical configs produce identical kernels.)
-  std::ostringstream key;
-  kconfig::ValueViewGuard guard(config);  // GetValue views held across the loop.
-  for (const auto& option : config.EnabledOptions()) {
-    key << option << "=" << config.GetValue(option) << ";";
+  const auto& interner = kconfig::OptionInterner::Global();
+  std::string text;
+  kconfig::ValueViewGuard guard(config);  // ValueOfId views appended across the loop.
+  for (kconfig::OptionId id : config.EnabledIdsByName()) {
+    text += interner.NameOf(id);
+    text += '=';
+    text += config.ValueOfId(id);
+    text += ';';
   }
   assert(guard.Check() && "config mutated while fingerprinting");
   (void)guard;
-  key << "mode=" << (config.compile_mode() == kconfig::CompileMode::kOs ? "Os" : "O2");
-  key << ";kml=" << (config.kml_patch_applied() ? 1 : 0);
+  text += config.compile_mode() == kconfig::CompileMode::kOs ? "mode=Os" : "mode=O2";
+  text += config.kml_patch_applied() ? ";kml=1" : ";kml=0";
   // Content address: a stable hash over the canonical text.
-  return std::to_string(std::hash<std::string>{}(key.str()));
+  return std::to_string(std::hash<std::string>{}(text));
 }
 
 KernelCache::KernelCache(BuildOptions options, CacheBudget artifact_budget,
@@ -256,8 +260,7 @@ Result<KernelCache::ProvisionPlan> KernelCache::PlanProvisioning(const std::stri
   plan.kernel_cached = kernels_.Contains(spec.fingerprint);
   plan.kernel_cost =
       provision_costs_.kernel_base +
-      provision_costs_.kernel_per_option *
-          static_cast<Nanos>(spec.config.EnabledOptions().size());
+      provision_costs_.kernel_per_option * static_cast<Nanos>(spec.config.EnabledIds().size());
   plan.rootfs_cost = provision_costs_.rootfs;
   return plan;
 }

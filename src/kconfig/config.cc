@@ -86,24 +86,32 @@ std::vector<OptionId> Config::EnabledIds() const {
   return out;
 }
 
+std::vector<OptionId> Config::EnabledIdsByName() const {
+  const auto& interner = OptionInterner::Global();
+  std::vector<OptionId> ids = EnabledIds();
+  std::sort(ids.begin(), ids.end(),
+            [&](OptionId a, OptionId b) { return interner.NameOf(a) < interner.NameOf(b); });
+  return ids;
+}
+
 std::vector<std::string> Config::EnabledOptions() const {
   const auto& interner = OptionInterner::Global();
   std::vector<std::string> out;
   out.reserve(present_count_);
-  ForEachBit(enabled_, [&](OptionId id) { out.push_back(interner.NameOf(id)); });
-  std::sort(out.begin(), out.end());
+  for (OptionId id : EnabledIdsByName()) {
+    out.push_back(interner.NameOf(id));
+  }
   return out;
 }
 
 std::vector<std::string> Config::Minus(const Config& other) const {
   const auto& interner = OptionInterner::Global();
   std::vector<std::string> out;
-  ForEachBit(enabled_, [&](OptionId id) {
+  for (OptionId id : EnabledIdsByName()) {
     if (!other.IsEnabledId(id)) {
       out.push_back(interner.NameOf(id));
     }
-  });
-  std::sort(out.begin(), out.end());
+  }
   return out;
 }
 

@@ -56,6 +56,9 @@ class Config {
   std::string_view ValueOfId(OptionId id) const;
   // Enabled ids in ascending id order.
   std::vector<OptionId> EnabledIds() const;
+  // Enabled ids sorted by interned name: the one lexicographic order, which
+  // every name-sorted view of a Config reads.
+  std::vector<OptionId> EnabledIdsByName() const;
   // Raw membership bitset of enabled (value != "n") options.
   const std::vector<uint64_t>& enabled_bits() const { return enabled_; }
 

@@ -1,5 +1,6 @@
 #include "src/kconfig/interning.h"
 
+#include <memory>
 #include <mutex>
 
 namespace lupine::kconfig {
@@ -24,9 +25,19 @@ OptionId OptionInterner::Intern(std::string_view name) {
   if (it != ids_.end()) {
     return it->second;  // Raced with another interner.
   }
-  OptionId id = static_cast<OptionId>(names_.size());
-  names_.emplace_back(name);
-  ids_.emplace(std::string_view(names_.back()), id);
+  const OptionId id = static_cast<OptionId>(size_);
+  const Slot slot = Locate(id);
+  std::string* names = segments_[slot.segment].load(std::memory_order_relaxed);
+  if (names == nullptr) {
+    // Raw storage: a slot is touched only when its name is constructed.
+    names = std::allocator<std::string>().allocate(kFirstSegmentSize << slot.segment);
+    segments_[slot.segment].store(names, std::memory_order_release);
+  }
+  // Constructed in place at its exact size (assigning into a default-
+  // constructed string would round a short heap name up to the growth step).
+  const std::string* stored = std::construct_at(names + slot.offset, name);
+  ids_.emplace(std::string_view(*stored), id);
+  ++size_;
   return id;
 }
 
@@ -36,14 +47,9 @@ OptionId OptionInterner::Find(std::string_view name) const {
   return it == ids_.end() ? kNoOption : it->second;
 }
 
-const std::string& OptionInterner::NameOf(OptionId id) const {
-  std::shared_lock lock(mu_);
-  return names_[id];
-}
-
 size_t OptionInterner::size() const {
   std::shared_lock lock(mu_);
-  return names_.size();
+  return size_;
 }
 
 }  // namespace lupine::kconfig

@@ -10,8 +10,10 @@
 #ifndef SRC_KCONFIG_INTERNING_H_
 #define SRC_KCONFIG_INTERNING_H_
 
+#include <array>
+#include <atomic>
+#include <bit>
 #include <cstdint>
-#include <deque>
 #include <shared_mutex>
 #include <string>
 #include <string_view>
@@ -23,11 +25,20 @@ namespace lupine::kconfig {
 using OptionId = uint32_t;
 inline constexpr OptionId kNoOption = 0xFFFFFFFFu;
 
-// Thread-safe append-only string table. NameOf() references stay valid for
-// the process lifetime (names live in a deque and are never removed).
+// Thread-safe append-only string table. Intern, Find and size take the
+// table's lock; NameOf takes none. Names live in geometric segments that
+// never move: segment k holds the next 1024 << k ids, is allocated on first
+// use and is reached through a fixed array of atomic segment pointers, so
+// every id below kNoOption has a slot. Each name is constructed in its slot
+// at its exact size and published under the writer lock before Intern
+// returns its id, so a reader that got the id from Intern (or from a Config
+// built with it) reads a finished name. NameOf references stay valid for the
+// process lifetime: the one instance is never destroyed.
 class OptionInterner {
  public:
   static OptionInterner& Global();
+
+  ~OptionInterner() = delete;
 
   // Returns the id for `name`, assigning the next dense id on first sight.
   OptionId Intern(std::string_view name);
@@ -37,16 +48,40 @@ class OptionInterner {
   OptionId Find(std::string_view name) const;
 
   // The name behind an id. The id must have been returned by Intern.
-  const std::string& NameOf(OptionId id) const;
+  const std::string& NameOf(OptionId id) const {
+    const Slot slot = Locate(id);
+    return segments_[slot.segment].load(std::memory_order_acquire)[slot.offset];
+  }
 
   size_t size() const;
 
  private:
+  static constexpr int kFirstSegmentBits = 10;
+  static constexpr uint64_t kFirstSegmentSize = uint64_t{1} << kFirstSegmentBits;
+
+  struct Slot {
+    int segment;
+    uint64_t offset;
+  };
+
+  // Segment k starts at id kFirstSegmentSize * (2^k - 1): offsetting the id
+  // by kFirstSegmentSize puts the segment in the position of the top bit.
+  static constexpr Slot Locate(OptionId id) {
+    const uint64_t n = uint64_t{id} + kFirstSegmentSize;
+    const int top = std::bit_width(n) - 1;
+    return {top - kFirstSegmentBits, n - (uint64_t{1} << top)};
+  }
+
+  // Enough segments for every id below kNoOption (the last one's top bit).
+  static constexpr int kSegments =
+      std::bit_width(uint64_t{kNoOption} - 1 + kFirstSegmentSize) - kFirstSegmentBits;
+
   OptionInterner() = default;
 
   mutable std::shared_mutex mu_;
-  std::deque<std::string> names_;                      // Stable references.
-  std::unordered_map<std::string_view, OptionId> ids_; // Views into names_.
+  std::array<std::atomic<std::string*>, kSegments> segments_{};  // Written under mu_.
+  size_t size_ = 0;                                              // Guarded by mu_.
+  std::unordered_map<std::string_view, OptionId> ids_;           // Views into segments_.
 };
 
 // Fixed-width bitset helpers shared by Config and the resolver (word = 64

@@ -1,6 +1,5 @@
 #include "src/kconfig/resolver.h"
 
-#include <algorithm>
 #include <atomic>
 #include <deque>
 #include <memory>
@@ -211,12 +210,10 @@ Result<ResolveReport> Resolver::EnableWalk(Config& config, OptionId root) const 
 
 Status Resolver::Validate(const Config& config) const {
   OptionId modules = OptionInterner::Global().Intern(names::kModules);
-  // Lexicographic order (not id order) so the first-reported violation
-  // matches the original string-keyed implementation byte for byte.
-  std::vector<OptionId> ids = config.EnabledIds();
-  std::sort(ids.begin(), ids.end(),
-            [](OptionId a, OptionId b) { return NameOf(a) < NameOf(b); });
-  for (OptionId id : ids) {
+  // Name order (not id order): the first-reported violation is the
+  // lexicographically first offending option, whatever order names were
+  // interned in.
+  for (OptionId id : config.EnabledIdsByName()) {
     const OptionDb::OptionEdges* edges = db_.EdgesById(id);
     if (edges == nullptr) {
       return UnknownOptionError(id);

@@ -2,6 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <functional>
+#include <sstream>
+#include <string>
+#include <vector>
+
+#include "src/kconfig/option_names.h"
 #include "src/kconfig/presets.h"
 #include "src/workload/app_bench.h"
 
@@ -80,6 +86,44 @@ TEST(MultikTest, FingerprintIgnoresConfigName) {
   EXPECT_EQ(KernelCache::ConfigFingerprint(a), KernelCache::ConfigFingerprint(b));
   b.Enable("FUTEX");
   EXPECT_NE(KernelCache::ConfigFingerprint(a), KernelCache::ConfigFingerprint(b));
+}
+
+// The string-keyed fingerprint: sorted names, a GetValue lookup per name.
+std::string ReferenceFingerprint(const kconfig::Config& config) {
+  std::ostringstream text;
+  for (const auto& option : config.EnabledOptions()) {
+    text << option << "=" << config.GetValue(option) << ";";
+  }
+  text << "mode=" << (config.compile_mode() == kconfig::CompileMode::kOs ? "Os" : "O2");
+  text << ";kml=" << (config.kml_patch_applied() ? 1 : 0);
+  return std::to_string(std::hash<std::string>{}(text.str()));
+}
+
+TEST(MultikTest, FingerprintMatchesTheStringKeyedReference) {
+  namespace n = kconfig::names;
+  std::vector<kconfig::Config> configs = {kconfig::MicrovmConfig(), kconfig::LupineBase(),
+                                          kconfig::LupineGeneral()};
+  for (const auto& app : kconfig::Top20AppNames()) {
+    auto config = kconfig::LupineForApp(app);
+    ASSERT_TRUE(config.ok()) << app;
+    configs.push_back(config.take());
+  }
+  kconfig::Config valued = kconfig::LupineGeneral();
+  valued.SetValue(n::kPanicTimeout, "-1");
+  valued.SetValue(n::kExt2Fs, "m");
+  configs.push_back(valued);
+  kconfig::Config tiny = kconfig::LupineBase();
+  tiny.set_compile_mode(kconfig::CompileMode::kOs);
+  configs.push_back(tiny);
+  kconfig::Config kml = kconfig::LupineBase();
+  kml.set_kml_patch_applied(true);
+  kml.Enable(n::kKml);
+  configs.push_back(kml);
+
+  for (const auto& config : configs) {
+    EXPECT_EQ(KernelCache::ConfigFingerprint(config), ReferenceFingerprint(config))
+        << config.name() << " (" << config.EnabledIds().size() << " options)";
+  }
 }
 
 }  // namespace

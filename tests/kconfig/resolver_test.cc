@@ -59,6 +59,29 @@ TEST(ResolverTest, ValidateCatchesMissingDependency) {
   EXPECT_NE(s.message().find("IPV6"), std::string::npos);
 }
 
+TEST(ResolverTest, ValidateReportsTheLexicographicallyFirstViolation) {
+  // Z is interned before A, so id order and name order disagree.
+  const OptionId z = OptionInterner::Global().Intern("VALIDATE_ORDER_Z");
+  const OptionId a = OptionInterner::Global().Intern("VALIDATE_ORDER_A");
+  ASSERT_LT(z, a);
+  OptionDb db;
+  for (const char* name : {"VALIDATE_ORDER_Z", "VALIDATE_ORDER_A"}) {
+    OptionInfo info;
+    info.name = name;
+    info.depends_on = {std::string(name) + "_DEP"};
+    ASSERT_TRUE(db.Add(info));
+    info.name += "_DEP";
+    info.depends_on.clear();
+    ASSERT_TRUE(db.Add(info));
+  }
+  Config c;
+  c.Enable("VALIDATE_ORDER_Z");
+  c.Enable("VALIDATE_ORDER_A");
+  Status s = Resolver(db).Validate(c);
+  EXPECT_EQ(s.message(),
+            "CONFIG_VALIDATE_ORDER_A requires CONFIG_VALIDATE_ORDER_A_DEP which is not enabled");
+}
+
 TEST(ResolverTest, ValidateCatchesConflicts) {
   Config c;
   c.set_kml_patch_applied(true);
