@@ -3,13 +3,15 @@
 // throughput scales when the fleet is sharded across monitor workers, with
 // every artifact served warm from the content-addressed caches.
 //
-// Methodology: fibers (and VMs mid-run) are thread-local, so the driver
-// statically shards the fleet across ThreadPool workers and reports the
-// *virtual* makespan — the largest per-worker sum of simulated boot times
-// (monitor start -> init exec). That figure is a deterministic property of
-// the simulation, so the reported speedups do not depend on how many host
-// cores this process is given (CI runners often pin it to one). Host wall
-// time is included as an informational column only.
+// Methodology: core::RunFleetBoot runs the fleet as one task DAG on the
+// work-stealing scheduler (a VM's fibers are thread-local, so each boot
+// runs start to finish on one worker) and reports the *virtual* makespan of
+// the scheduler's deterministic replay over the simulated task costs
+// (monitor start -> init exec, plus any cold provisioning stages). That
+// figure is a property of the simulation, so the reported speedups do not
+// depend on how many host cores this process is given (CI runners often
+// pin it to one). Host wall time is included as an informational column
+// only.
 //
 // Legs:
 //   1. Worker sweep — boots rounds x top-20 VMs at 1/2/4/8 workers from one
@@ -20,13 +22,13 @@
 //      each per-app config against lupine-general and serves the shared
 //      kernel: one build for the whole fleet.
 //   3. Skewed fleet — a fault rule wedges every postgres boot for an extra
-//      630 virtual ms (~10x a normal boot), and the leg compares the static
-//      shards against work stealing at 1/2/4/8 workers: static strands the
-//      skew on one shard, stealing drains the other deques around it.
-//   4. Cold cache — every (schedule, workers) point provisions a fresh
-//      cache, comparing static, monolithic stealing (single-flight groups)
-//      and the pipelined stage DAG: pipelining overlaps kernel builds,
-//      rootfs assembly and boots instead of blocking boot tasks on flights.
+//      630 virtual ms (~10x a normal boot), and the leg compares stealing
+//      off (static) against stealing on (pipelined) at 1/2/4/8 workers:
+//      static strands the skew on one shard, stealing drains the other
+//      deques around it.
+//   4. Cold cache — every worker count provisions a fresh cache under the
+//      default schedule: the stage DAG overlaps kernel builds, rootfs
+//      assembly and the boots behind them across workers.
 //
 // Results go to stdout and BENCH_fleet_boot.json (a CI artifact). Exit code
 // is always 0: regression gating belongs to the CI dashboards.
@@ -50,8 +52,6 @@ const char* ScheduleName(core::FleetSchedule schedule) {
   switch (schedule) {
     case core::FleetSchedule::kStaticShards:
       return "static";
-    case core::FleetSchedule::kWorkStealing:
-      return "stealing";
     case core::FleetSchedule::kPipelined:
       return "pipelined";
   }
@@ -129,7 +129,7 @@ int main() {
               "lupine-general image (%zu failures)\n",
               fleet_size, batch_stats.builds, batch_stats.general_served, batch_failures);
 
-  // --- 3. Skewed fleet: static shards vs work stealing ---------------------
+  // --- 3. Skewed fleet: stealing off vs on -------------------------------
   // One rule gives every postgres boot an extra 630 virtual ms of decompress
   // stall — roughly 10x a normal warm boot. Static sharding strands all of
   // postgres's boots on one shard; stealing lets idle workers drain the
@@ -141,9 +141,8 @@ int main() {
                  .period = 1,
                  .app = "postgres",
                  .stall = Millis(630)});
-  const std::vector<core::FleetSchedule> schedules = {
-      core::FleetSchedule::kStaticShards, core::FleetSchedule::kWorkStealing,
-      core::FleetSchedule::kPipelined};
+  const std::vector<core::FleetSchedule> schedules = {core::FleetSchedule::kStaticShards,
+                                                      core::FleetSchedule::kPipelined};
 
   struct SchedPoint {
     size_t workers = 0;
@@ -172,7 +171,7 @@ int main() {
   for (size_t i = 0; i < skew.size(); ++i) {
     const SchedPoint& point = skew[i];
     const double virtual_ms = static_cast<double>(point.result.virtual_makespan) / 1e6;
-    // The static point for this worker count leads its group of three.
+    // The static point for this worker count leads its group.
     const double static_ms =
         static_cast<double>(skew[i - i % schedules.size()].result.virtual_makespan) / 1e6;
     char gain[32];
@@ -182,40 +181,36 @@ int main() {
   }
   skew_table.Print();
 
-  // --- 4. Cold cache: monolithic stealing vs the pipelined stage DAG -------
+  // --- 4. Cold cache: the stage DAG on fresh caches -----------------------
   // Every point provisions a fresh cache, so each distinct kernel fingerprint
-  // and rootfs key is built exactly once per point. Monolithic schedules
-  // model those builds as single-flight groups inside the first boot that
-  // needs them; the pipelined DAG splits them into their own tasks so they
-  // overlap across workers.
+  // and rootfs key is built exactly once per point, as its own task that
+  // overlaps the other stages and the boots across workers. Stealing off
+  // reads nearly the same makespan here (a boot runs where its last stage
+  // completed), so the leg reports the default schedule only.
   std::vector<SchedPoint> cold;
   for (size_t workers : worker_counts) {
-    for (core::FleetSchedule schedule : schedules) {
-      core::KernelCache fresh;
-      core::FleetBootOptions options;
-      options.workers = workers;
-      options.rounds = 1;
-      options.schedule = schedule;
-      auto result = core::RunFleetBoot(fresh, options);
-      if (!result.ok()) {
-        std::fprintf(stderr, "cold %s workers=%zu: %s\n", ScheduleName(schedule), workers,
-                     result.status().ToString().c_str());
-        return 0;
-      }
-      cold.push_back({workers, schedule, *result});
+    core::KernelCache fresh;
+    core::FleetBootOptions options;
+    options.workers = workers;
+    options.rounds = 1;
+    auto result = core::RunFleetBoot(fresh, options);
+    if (!result.ok()) {
+      std::fprintf(stderr, "cold workers=%zu: %s\n", workers,
+                   result.status().ToString().c_str());
+      return 0;
     }
+    cold.push_back({workers, options.schedule, *result});
   }
-  std::printf("\ncold cache (fresh cache per point, 1 round):\n");
-  Table cold_table({"workers", "schedule", "virtual ms", "steals", "vs static"});
-  for (size_t i = 0; i < cold.size(); ++i) {
-    const SchedPoint& point = cold[i];
+  std::printf("\ncold cache (fresh cache per point, 1 round, %s):\n",
+              ScheduleName(cold.front().schedule));
+  Table cold_table({"workers", "virtual ms", "steals", "speedup"});
+  const double cold_serial_ms = static_cast<double>(cold.front().result.virtual_makespan) / 1e6;
+  for (const SchedPoint& point : cold) {
     const double virtual_ms = static_cast<double>(point.result.virtual_makespan) / 1e6;
-    const double static_ms =
-        static_cast<double>(cold[i - i % schedules.size()].result.virtual_makespan) / 1e6;
-    char gain[32];
-    std::snprintf(gain, sizeof(gain), "%.2fx", static_ms / virtual_ms);
-    cold_table.AddRow(static_cast<double>(point.workers), ScheduleName(point.schedule),
-                      virtual_ms, static_cast<double>(point.result.steals), gain);
+    char speedup[32];
+    std::snprintf(speedup, sizeof(speedup), "%.2fx", cold_serial_ms / virtual_ms);
+    cold_table.AddRow(static_cast<double>(point.workers), virtual_ms,
+                      static_cast<double>(point.result.steals), speedup);
   }
   cold_table.Print();
 

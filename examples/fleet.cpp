@@ -4,13 +4,14 @@
 // faults — one member crashes once and is restarted with backoff, one
 // crash-loops and is quarantined as degraded, the rest stay up.
 //
-// The build phase fans the fleet out over a thread pool: KernelCache is
-// thread-safe with single-flight deduplication, so the 16 runtimes that
-// share the zero-option lupine-base kernel trigger exactly one build among
-// them no matter how the pool interleaves.
+// The build phase fans the fleet out as one scheduler task per app on every
+// host core: KernelCache is thread-safe with single-flight deduplication,
+// so the 16 runtimes that share the zero-option lupine-base kernel trigger
+// exactly one build among them no matter how the workers interleave.
+#include <algorithm>
 #include <chrono>
 #include <cstdio>
-#include <future>
+#include <thread>
 #include <vector>
 
 #include "src/apps/manifest.h"
@@ -20,7 +21,7 @@
 #include "src/telemetry/export.h"
 #include "src/telemetry/metrics.h"
 #include "src/util/fault.h"
-#include "src/util/thread_pool.h"
+#include "src/util/scheduler.h"
 #include "src/vmm/supervisor.h"
 #include "src/workload/app_bench.h"
 
@@ -28,21 +29,29 @@ using namespace lupine;
 
 int main() {
   core::KernelCache cache;
-  ThreadPool pool(ThreadPool::DefaultThreads());
+  WorkStealingScheduler::Options sched_options;
+  sched_options.workers = std::max(1u, std::thread::hardware_concurrency());
 
   const std::vector<std::string> fleet = kconfig::Top20AppNames();
   std::printf("Building kernels for the top-20 Docker Hub applications (%zu workers)...\n\n",
-              pool.size());
+              sched_options.workers);
   const auto build_start = std::chrono::steady_clock::now();
-  std::vector<std::future<Result<core::KernelCache::ArtifactPtr>>> builds;
-  builds.reserve(fleet.size());
-  for (const auto& app : fleet) {
-    builds.push_back(pool.Submit([&cache, &app] { return cache.GetOrBuild(app); }));
-  }
-  std::vector<Result<core::KernelCache::ArtifactPtr>> artifacts;
-  artifacts.reserve(fleet.size());
-  for (auto& build : builds) {
-    artifacts.push_back(build.get());
+  // One slot per app, each written only by its own build task.
+  std::vector<Result<core::KernelCache::ArtifactPtr>> artifacts(
+      fleet.size(), Result<core::KernelCache::ArtifactPtr>(Err::kAgain, "not built"));
+  {
+    WorkStealingScheduler builds(sched_options);
+    for (size_t i = 0; i < fleet.size(); ++i) {
+      WorkStealingScheduler::TaskSpec spec;
+      spec.body = [&cache, &fleet, &artifacts, i] {
+        artifacts[i] = cache.GetOrBuild(fleet[i]);
+        return Nanos{0};
+      };
+      spec.label = fleet[i];
+      spec.home = static_cast<int>(i % sched_options.workers);
+      builds.Submit(std::move(spec));
+    }
+    builds.Run();
   }
   const auto build_elapsed =
       std::chrono::duration_cast<std::chrono::microseconds>(std::chrono::steady_clock::now() -
@@ -75,27 +84,35 @@ int main() {
               FormatSize(rootfs_stats.bytes_stored).c_str());
 
   // Boot two fleet members that share the zero-option kernel — in parallel,
-  // on pool workers (each VM's fibers are thread-local, so independent VMs
-  // run concurrently).
+  // one scheduler task each (each VM's fibers are thread-local, so
+  // independent VMs run concurrently).
   std::printf("\nBooting golang and hello-world on their shared kernel...\n");
   struct BootOutcome {
-    int exit_code;
-    Nanos to_init;
+    int exit_code = 0;
+    Nanos to_init = 0;
   };
-  std::vector<std::string> boot_apps = {"golang", "hello-world"};
-  std::vector<std::future<BootOutcome>> boots;
-  for (const auto& app : boot_apps) {
-    boots.push_back(pool.Submit([&cache, &app]() -> BootOutcome {
-      auto artifact = cache.GetOrBuild(app);
-      auto vm = (*artifact)->Launch(128 * kMiB);
-      auto result = vm->BootAndRun();
-      return {result.exit_code, vm->boot_report().to_init};
-    }));
+  const std::vector<std::string> boot_apps = {"golang", "hello-world"};
+  std::vector<BootOutcome> outcomes(boot_apps.size());
+  {
+    WorkStealingScheduler boots(sched_options);
+    for (size_t i = 0; i < boot_apps.size(); ++i) {
+      WorkStealingScheduler::TaskSpec spec;
+      spec.body = [&cache, &boot_apps, &outcomes, i] {
+        auto artifact = cache.GetOrBuild(boot_apps[i]);
+        auto vm = (*artifact)->Launch(128 * kMiB);
+        auto result = vm->BootAndRun();
+        outcomes[i] = {result.exit_code, vm->boot_report().to_init};
+        return Nanos{0};
+      };
+      spec.label = boot_apps[i];
+      spec.home = static_cast<int>(i % sched_options.workers);
+      boots.Submit(std::move(spec));
+    }
+    boots.Run();
   }
   for (size_t i = 0; i < boot_apps.size(); ++i) {
-    BootOutcome outcome = boots[i].get();
-    std::printf("  %-12s exit=%d boot=%s\n", boot_apps[i].c_str(), outcome.exit_code,
-                FormatDuration(outcome.to_init).c_str());
+    std::printf("  %-12s exit=%d boot=%s\n", boot_apps[i].c_str(), outcomes[i].exit_code,
+                FormatDuration(outcomes[i].to_init).c_str());
   }
 
   // And one server with its own specialized kernel.

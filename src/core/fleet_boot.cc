@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <functional>
 #include <map>
 #include <memory>
 #include <string_view>
@@ -570,8 +571,66 @@ Result<FleetBootResult> RunFleetBoot(KernelCache& cache, const FleetBootOptions&
 
   WorkStealingScheduler::Options sched_options;
   sched_options.workers = workers;
-  sched_options.stealing = options.schedule != FleetSchedule::kStaticShards;
+  sched_options.stealing = options.schedule == FleetSchedule::kPipelined;
   WorkStealingScheduler scheduler(sched_options);
+
+  // Provisioning stages: one kernel task per distinct cold fingerprint, then
+  // one rootfs task per distinct cold rootfs key, homed round-robin. Every
+  // launch task depends on its apps' stages, so cold provisioning overlaps
+  // across workers in both schedules.
+  std::map<std::string, size_t> kernel_stage;  // fingerprint -> task id.
+  std::map<std::string, size_t> rootfs_stage;  // rootfs key -> task id.
+  // Modeled virtual provisioning charged this run (the stage tasks) — part
+  // of virtual_boot_total so schedule comparisons add up.
+  Nanos provisioning_virtual = 0;
+  size_t ordinal = 0;
+  // Stage failures surface through the dependent launches' GetOrBuild, which
+  // classifies them (retryable / fatal) like any launch.
+  auto submit_stage = [&](std::map<std::string, size_t>& stages, const std::string& key,
+                          std::string label, Nanos cost, std::function<void()> work) {
+    if (stages.count(key) > 0) {
+      return;
+    }
+    WorkStealingScheduler::TaskSpec spec;
+    spec.body = [work = std::move(work), cost] {
+      work();
+      return cost;
+    };
+    spec.label = std::move(label);
+    spec.home = static_cast<int>(ordinal++ % workers);
+    stages.emplace(key, scheduler.Submit(std::move(spec)));
+    provisioning_virtual += cost;
+  };
+  for (const BootTask& task : boot_tasks) {
+    const KernelCache::ProvisionPlan& plan = plans.at(task.app);
+    if (!plan.kernel_cached) {
+      submit_stage(kernel_stage, plan.fingerprint, "build:" + task.app, plan.kernel_cost,
+                   [&cache, app = task.app] { (void)cache.PrewarmKernel(app); });
+    }
+  }
+  for (const BootTask& task : boot_tasks) {
+    const KernelCache::ProvisionPlan& plan = plans.at(task.app);
+    if (!plan.rootfs_cached) {
+      submit_stage(rootfs_stage, plan.rootfs_key, "rootfs:" + task.app, plan.rootfs_cost,
+                   [&cache, app = task.app] { (void)cache.PrewarmRootfs(app); });
+    }
+  }
+  // Appends the stage tasks `app` waits on to `deps`, once each.
+  auto add_stage_deps = [&](const std::string& app, std::vector<size_t>& deps) {
+    const KernelCache::ProvisionPlan& plan = plans.at(app);
+    std::vector<size_t> stages;
+    if (!plan.kernel_cached) {
+      stages.push_back(kernel_stage.at(plan.fingerprint));
+    }
+    if (!plan.rootfs_cached) {
+      stages.push_back(rootfs_stage.at(plan.rootfs_key));
+    }
+    for (size_t stage : stages) {
+      if (std::find(deps.begin(), deps.end(), stage) == deps.end()) {
+        deps.push_back(stage);
+      }
+    }
+  };
 
   // Outcome slots, sized before any Submit so the bodies' pointers into the
   // vector stay stable. Direct mode: one per boot task; supervised: one per
@@ -580,48 +639,22 @@ Result<FleetBootResult> RunFleetBoot(KernelCache& cache, const FleetBootOptions&
   std::vector<TaskOutcome> outcomes;
   std::vector<size_t> sched_ids;
   std::atomic<bool> fatal{false};
-  // Modeled virtual provisioning charged this run (flight groups + pipeline
-  // stage tasks) — part of virtual_boot_total so mode comparisons add up.
-  Nanos provisioning_virtual = 0;
 
   if (options.supervised) {
     // One pinned shard task per worker, the legacy layout: a supervisor owns
-    // its members (and their fiber-bound VMs) for the whole run. Cold
-    // provisioning still rides on flight groups so makespans are comparable.
+    // its members (and their fiber-bound VMs) for the whole run. The shard
+    // starts once every stage its members need has completed.
     std::vector<std::vector<BootTask>> shards(workers);
     for (const BootTask& task : boot_tasks) {
       shards[task.index % workers].push_back(task);
     }
-    std::map<std::string, size_t> kernel_groups;  // fingerprint -> group id.
-    std::map<std::string, size_t> rootfs_groups;  // rootfs key -> group id.
     outcomes.resize(workers);
     sched_ids.resize(workers);
     for (size_t w = 0; w < workers; ++w) {
-      std::vector<size_t> groups;
-      for (const BootTask& task : shards[w]) {
-        const KernelCache::ProvisionPlan& plan = plans.at(task.app);
-        if (!plan.kernel_cached) {
-          auto [it, fresh] = kernel_groups.try_emplace(plan.fingerprint, 0);
-          if (fresh) {
-            it->second = scheduler.DefineFlightGroup(plan.kernel_cost);
-            provisioning_virtual += plan.kernel_cost;
-          }
-          if (std::find(groups.begin(), groups.end(), it->second) == groups.end()) {
-            groups.push_back(it->second);
-          }
-        }
-        if (!plan.rootfs_cached) {
-          auto [it, fresh] = rootfs_groups.try_emplace(plan.rootfs_key, 0);
-          if (fresh) {
-            it->second = scheduler.DefineFlightGroup(plan.rootfs_cost);
-            provisioning_virtual += plan.rootfs_cost;
-          }
-          if (std::find(groups.begin(), groups.end(), it->second) == groups.end()) {
-            groups.push_back(it->second);
-          }
-        }
-      }
       WorkStealingScheduler::TaskSpec spec;
+      for (const BootTask& task : shards[w]) {
+        add_stage_deps(task.app, spec.deps);
+      }
       TaskOutcome* slot = &outcomes[w];
       spec.body = [&cache, &options, &fatal, slot, shard = std::move(shards[w])] {
         *slot = RunShardSupervised(cache, shard, options);
@@ -633,74 +666,12 @@ Result<FleetBootResult> RunFleetBoot(KernelCache& cache, const FleetBootOptions&
       spec.label = "shard#" + std::to_string(w);
       spec.home = static_cast<int>(w);
       spec.pin = static_cast<int>(w);
-      spec.groups = std::move(groups);
       sched_ids[w] = scheduler.Submit(std::move(spec));
     }
   } else {
     outcomes.resize(boot_tasks.size());
     sched_ids.resize(boot_tasks.size());
-
-    // Pipelined: one kernel task per distinct cold fingerprint, one rootfs
-    // task per distinct cold rootfs key; boots depend on their stages.
-    // Monolithic (static / stealing): cold stages become flight groups paid
-    // by the first boot task dispatched.
-    std::map<std::string, size_t> kernel_stage;  // fingerprint -> task/group id.
-    std::map<std::string, size_t> rootfs_stage;  // rootfs key -> task/group id.
-    const bool pipelined = options.schedule == FleetSchedule::kPipelined;
-    if (pipelined) {
-      size_t ordinal = 0;
-      for (const BootTask& task : boot_tasks) {
-        const KernelCache::ProvisionPlan& plan = plans.at(task.app);
-        if (!plan.kernel_cached && kernel_stage.count(plan.fingerprint) == 0) {
-          WorkStealingScheduler::TaskSpec spec;
-          const Nanos cost = plan.kernel_cost;
-          std::string app = task.app;
-          spec.body = [&cache, app, cost] {
-            // Failures surface through the dependent boots' GetOrBuild,
-            // which classifies them (retryable / fatal) like any launch.
-            (void)cache.PrewarmKernel(app);
-            return cost;
-          };
-          spec.label = "build:" + task.app;
-          spec.home = static_cast<int>(ordinal++ % workers);
-          kernel_stage.emplace(plan.fingerprint, scheduler.Submit(std::move(spec)));
-          provisioning_virtual += cost;
-        }
-      }
-      for (const BootTask& task : boot_tasks) {
-        const KernelCache::ProvisionPlan& plan = plans.at(task.app);
-        if (!plan.rootfs_cached && rootfs_stage.count(plan.rootfs_key) == 0) {
-          WorkStealingScheduler::TaskSpec spec;
-          const Nanos cost = plan.rootfs_cost;
-          std::string app = task.app;
-          spec.body = [&cache, app, cost] {
-            (void)cache.PrewarmRootfs(app);
-            return cost;
-          };
-          spec.label = "rootfs:" + task.app;
-          spec.home = static_cast<int>(ordinal++ % workers);
-          rootfs_stage.emplace(plan.rootfs_key, scheduler.Submit(std::move(spec)));
-          provisioning_virtual += cost;
-        }
-      }
-    } else {
-      for (const BootTask& task : boot_tasks) {
-        const KernelCache::ProvisionPlan& plan = plans.at(task.app);
-        if (!plan.kernel_cached && kernel_stage.count(plan.fingerprint) == 0) {
-          kernel_stage.emplace(plan.fingerprint,
-                               scheduler.DefineFlightGroup(plan.kernel_cost));
-          provisioning_virtual += plan.kernel_cost;
-        }
-        if (!plan.rootfs_cached && rootfs_stage.count(plan.rootfs_key) == 0) {
-          rootfs_stage.emplace(plan.rootfs_key,
-                               scheduler.DefineFlightGroup(plan.rootfs_cost));
-          provisioning_virtual += plan.rootfs_cost;
-        }
-      }
-    }
-
     for (const BootTask& task : boot_tasks) {
-      const KernelCache::ProvisionPlan& plan = plans.at(task.app);
       WorkStealingScheduler::TaskSpec spec;
       TaskOutcome* slot = &outcomes[task.index];
       spec.body = [&cache, &options, &fatal, slot, task] {
@@ -715,24 +686,10 @@ Result<FleetBootResult> RunFleetBoot(KernelCache& cache, const FleetBootOptions&
       };
       spec.label = task.app + "#" + std::to_string(task.index);
       spec.home = static_cast<int>(task.index % workers);
-      if (pipelined) {
-        if (!plan.kernel_cached) {
-          spec.deps.push_back(kernel_stage.at(plan.fingerprint));
-        }
-        if (!plan.rootfs_cached) {
-          spec.deps.push_back(rootfs_stage.at(plan.rootfs_key));
-        }
-      } else {
-        if (!plan.kernel_cached) {
-          spec.groups.push_back(kernel_stage.at(plan.fingerprint));
-        }
-        if (!plan.rootfs_cached) {
-          spec.groups.push_back(rootfs_stage.at(plan.rootfs_key));
-        }
-      }
-      // Restore tasks run after their key's capture task in every direct
-      // schedule (boot tasks are submitted in index order, so the capture
-      // task's scheduler id is already known).
+      add_stage_deps(task.app, spec.deps);
+      // Restore tasks run after their key's capture task (boot tasks are
+      // submitted in index order, so the capture task's scheduler id is
+      // already known).
       if (!task.snapshot_key.empty() && !task.snapshot_capture) {
         auto owner = capture_owner.find(task.snapshot_key);
         if (owner != capture_owner.end() && owner->second != task.index) {

@@ -1,27 +1,25 @@
 // Fleet boot driver: boots a whole fleet of cached unikernels across worker
 // threads and reports throughput on the virtual timeline.
 //
-// Scheduling rides on util/scheduler's work-stealing deques instead of the
-// old static shards: each boot is one task, pushed to a home deque
-// (index mod W) and stolen by idle workers when its home runs long — one
-// expensive boot (a fresh build, a stall fault) no longer wedges a shard
-// while siblings idle. Fibers are thread-local, so a VM still lives and
-// dies on the one worker thread that ran its task; migration happens
-// before the task starts, never mid-boot. Every reported figure (makespan,
-// per-worker busy time, steals, queue peaks) comes from the scheduler's
-// deterministic virtual-time replay, so the speedup is a property of the
-// simulation, not of how many host cores this process happens to get —
-// and fault logs and retry counts replay byte-identically across 1/2/4/8
-// workers, stealing on or off.
+// The fleet is one dependency DAG on util/scheduler's per-worker deques:
+// one kernel-build task per distinct cold config fingerprint, one rootfs
+// task per distinct cold rootfs key, and the launch tasks (one per boot, or
+// one pinned shard per worker in supervised mode) depending on their apps'
+// stages. Cold-cache provisioning stages overlap across VMs instead of
+// serializing inside the first boot that happens to need them; stage costs
+// are the cache's deterministic ProvisionCostModel figures, charged in
+// virtual time only when the stage is actually cold. Stealing on or off is
+// the one scheduling knob (FleetSchedule): with it on, an idle worker
+// drains the other deques, so one expensive boot (a stall fault) no longer
+// wedges its home worker while siblings idle.
 //
-// The per-VM chain (kernel build -> rootfs -> boot) is a dependency DAG in
-// the default pipelined schedule: one kernel task per distinct config
-// fingerprint, one rootfs task per distinct rootfs key, with each boot
-// depending on its two provisioning stages. Cold-cache provisioning stages
-// overlap across VMs instead of serializing inside the first boot that
-// happens to need them. Stage costs are the cache's deterministic
-// ProvisionCostModel figures, charged in virtual time only when the stage
-// is actually cold.
+// Fibers are thread-local, so a VM lives and dies on the one worker thread
+// that ran its task; migration happens before the task starts, never
+// mid-boot. Every reported figure (makespan, per-worker busy time, steals,
+// queue peaks) comes from the scheduler's deterministic virtual-time
+// replay, so it is a property of the simulation, not of how many host cores
+// this process happens to get — and fault logs and retry counts replay
+// byte-identically across 1/2/4/8 workers in both schedules.
 #ifndef SRC_CORE_FLEET_BOOT_H_
 #define SRC_CORE_FLEET_BOOT_H_
 
@@ -40,20 +38,16 @@
 
 namespace lupine::core {
 
-// How the fleet maps onto workers.
+// How the fleet DAG maps onto workers.
 enum class FleetSchedule {
-  // The legacy layout: task i belongs to worker i mod W forever. Kept as
-  // the baseline the benches compare against (and as the degenerate
-  // stealing=off policy of the same scheduler).
+  // Stealing off: every task runs on the worker whose deque it entered —
+  // its home (index mod W) when ready at submission, else the worker that
+  // completed its last dependency, so a boot whose last stage completes on
+  // worker w runs on w (pinned tasks always enter their pin's deque). The
+  // static-shard baseline the benches compare against.
   kStaticShards,
-  // Work-stealing deques over monolithic tasks: each boot task runs the
-  // whole provisioning+boot chain; cold provisioning is modeled as
-  // single-flight groups (first task dispatched pays, concurrent ones wait).
-  kWorkStealing,
-  // Work-stealing deques over the staged DAG (default): kernel-build and
-  // rootfs tasks are split out per distinct stage key and overlap across
-  // VMs. On a warm cache no provisioning tasks exist and this is
-  // kWorkStealing with zero flight groups.
+  // Stealing on (default): an idle worker takes the oldest unpinned task
+  // from another worker's deque.
   kPipelined,
 };
 
@@ -82,7 +76,7 @@ struct FleetBootOptions {
   // must exit 0; servers parking in accept count as success).
   bool run_workload = false;
   // Drive each worker's shard through its own vmm::Supervisor instead of
-  // booting VMs directly (demonstrates pool-thread confinement).
+  // booting VMs directly (demonstrates worker-thread confinement).
   bool supervised = false;
   // Optional, non-owning metric sink: per-boot `boot.to_init_ns{app}` /
   // `boot.phase_ns{phase}` / `vm.resident_peak_bytes` histograms, per-worker
@@ -146,9 +140,9 @@ struct FleetBootOptions {
   vmm::SupervisorPolicy supervisor_policy;
 
   // Worker scheduling policy (see FleetSchedule). Supervised mode always
-  // runs one pinned shard task per worker regardless (a supervisor owns its
-  // members for their whole lifetime), with cold provisioning still modeled
-  // as flight groups.
+  // runs one pinned shard task per worker (a supervisor owns its members for
+  // their whole lifetime), behind the provisioning stages of its members;
+  // the schedule then only decides whether those stages can be stolen.
   FleetSchedule schedule = FleetSchedule::kPipelined;
 };
 
@@ -164,9 +158,9 @@ struct FleetBootResult {
   // Scheduler telemetry, all from the deterministic replay.
   size_t steals = 0;                      // Tasks that ran off-home.
   std::vector<size_t> worker_queue_peak;  // Max deque depth per worker.
-  // Per-worker virtual timelines (one span per task, flight waits excluded):
-  // the stage-overlap picture. telemetry::ToChromeTrace renders them as a
-  // chrome://tracing / Perfetto document.
+  // Per-worker virtual timelines (one span per scheduler task, stages
+  // included): the stage-overlap picture. telemetry::ToChromeTrace renders
+  // them as a chrome://tracing / Perfetto document.
   std::vector<telemetry::SpanTrace> worker_timelines;
 
   // Memory rollups (Fig. 8 footprints, fleet-scale). A worker boots its
@@ -220,7 +214,7 @@ struct FleetBootResult {
   std::vector<telemetry::CounterSeries> counter_tracks;
 };
 
-// Boots `rounds` x `apps` VMs from `cache` artifacts on `workers` pool
+// Boots `rounds` x `apps` VMs from `cache` artifacts on `workers` scheduler
 // threads. Fails only when an artifact cannot be built at all; individual
 // boot/workload failures are counted in the result.
 Result<FleetBootResult> RunFleetBoot(KernelCache& cache, const FleetBootOptions& options);

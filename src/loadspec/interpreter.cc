@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cstdio>
-#include <future>
 #include <map>
 #include <memory>
 #include <utility>
@@ -13,7 +12,7 @@
 #include "src/loadspec/parser.h"
 #include "src/unikernels/linux_system.h"
 #include "src/util/prng.h"
-#include "src/util/thread_pool.h"
+#include "src/util/scheduler.h"
 #include "src/vmm/vm.h"
 #include "src/workload/spawn.h"
 
@@ -140,7 +139,6 @@ VmTaskResult RunOneVm(const ScenarioSpec& spec, const VmEntrySpec& entry,
       plans.push_back(std::move(plan));
     }
     if (group.threads) {
-      WorkerPlan* leader = members.front();
       guestos::Process* process = workload::SpawnProcess(
           k, group.name, [&spec, members, t0](SyscallApi& sys) {
             auto done = std::make_shared<int>(0);
@@ -345,20 +343,23 @@ Result<ScenarioResult> RunScenario(const ScenarioSpec& spec,
   ScenarioResult result;
   result.name = spec.name;
 
-  // Each VM is a self-contained simulation; fan them out on the host pool.
+  // Each VM is a self-contained simulation: one scheduler task per VM, each
+  // writing its own result slot.
   std::vector<VmTaskResult> tasks(spec.vms.size());
-  {
-    ThreadPool pool(std::max<size_t>(1, options.workers));
-    std::vector<std::future<VmTaskResult>> futures;
-    futures.reserve(spec.vms.size());
-    for (size_t i = 0; i < spec.vms.size(); ++i) {
-      futures.push_back(pool.Submit(
-          [&spec, i, &options] { return RunOneVm(spec, spec.vms[i], i, options); }));
-    }
-    for (size_t i = 0; i < futures.size(); ++i) {
-      tasks[i] = futures[i].get();
-    }
+  WorkStealingScheduler::Options sched_options;
+  sched_options.workers = std::max<size_t>(1, options.workers);
+  WorkStealingScheduler scheduler(sched_options);
+  for (size_t i = 0; i < spec.vms.size(); ++i) {
+    WorkStealingScheduler::TaskSpec task;
+    task.body = [&spec, i, &options, &tasks] {
+      tasks[i] = RunOneVm(spec, spec.vms[i], i, options);
+      return Nanos{0};
+    };
+    task.label = spec.vms[i].name;
+    task.home = static_cast<int>(i % sched_options.workers);
+    scheduler.Submit(std::move(task));
   }
+  scheduler.Run();
 
   for (VmTaskResult& task : tasks) {
     if (!task.status.ok()) {

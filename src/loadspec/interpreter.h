@@ -6,8 +6,8 @@
 // work only, wires the declared channel topologies with pre-installed fds
 // (the lmbench injection pattern), spawns each group's workers, and runs
 // the guest to quiescence. VMs are independent simulations on independent
-// virtual clocks, so they execute in parallel on a host thread pool; every
-// reported figure is a pure function of (spec, options) and byte-identical
+// virtual clocks, so each runs as one task on util/scheduler's host
+// workers; every reported figure is a pure function of (spec, options) and byte-identical
 // across 1/2/4/8 host workers. Journal events are stamped with VM-relative
 // virtual times and ride Journal's canonical sort.
 #ifndef SRC_LOADSPEC_INTERPRETER_H_

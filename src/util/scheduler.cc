@@ -48,11 +48,6 @@ WorkStealingScheduler::WorkStealingScheduler(Options options) : options_(options
   }
 }
 
-size_t WorkStealingScheduler::DefineFlightGroup(Nanos cost) {
-  group_costs_.push_back(cost);
-  return group_costs_.size() - 1;
-}
-
 size_t WorkStealingScheduler::Submit(TaskSpec spec) {
   specs_.push_back(std::move(spec));
   return specs_.size() - 1;
@@ -142,16 +137,15 @@ WorkStealingScheduler::Report WorkStealingScheduler::Run() {
   std::vector<SimTask> sim(total);
   for (size_t i = 0; i < total; ++i) {
     sim[i] = {specs_[i].home, specs_[i].pin, costs[i],
-              specs_[i].deps, specs_[i].groups, specs_[i].label, specs_[i].release};
+              specs_[i].deps, specs_[i].label, specs_[i].release};
   }
-  Report report = Simulate(options_, sim, group_costs_);
+  Report report = Simulate(options_, sim);
   report.host_steals = host_steals;
   return report;
 }
 
 WorkStealingScheduler::Report WorkStealingScheduler::Simulate(
-    const Options& options_in, const std::vector<SimTask>& tasks,
-    const std::vector<Nanos>& group_costs) {
+    const Options& options_in, const std::vector<SimTask>& tasks) {
   Options options = options_in;
   if (options.workers == 0) {
     options.workers = 1;
@@ -218,14 +212,6 @@ WorkStealingScheduler::Report WorkStealingScheduler::Simulate(
     }
   }
 
-  // Flight-group replay state: unclaimed until first dispatch, then ready at
-  // a fixed virtual instant every later member waits on.
-  struct GroupState {
-    bool started = false;
-    Nanos ready_at = 0;
-  };
-  std::vector<GroupState> groups(group_costs.size());
-
   // Completion events ordered by (time, worker): the only source of
   // nondeterminism in a parallel schedule, made total here.
   struct Event {
@@ -254,24 +240,12 @@ WorkStealingScheduler::Report WorkStealingScheduler::Simulate(
         if (id == SIZE_MAX) {
           continue;
         }
-        Nanos start = now;
-        for (size_t g : tasks[id].groups) {
-          GroupState& group = groups[g];
-          if (!group.started) {
-            group.started = true;
-            group.ready_at = start + group_costs[g];
-            start = group.ready_at;
-          } else {
-            start = std::max(start, group.ready_at);
-          }
-        }
-        const Nanos end = start + tasks[id].cost;
-        report.tasks[id] = {id, static_cast<int>(w), now, start, end, stolen,
-                           tasks[id].label};
+        const Nanos end = now + tasks[id].cost;
+        report.tasks[id] = {id, static_cast<int>(w), now, end, stolen, tasks[id].label};
         if (stolen) {
           ++report.steals;
         }
-        report.worker_busy[w] += end - now;
+        report.worker_busy[w] += tasks[id].cost;
         busy[w] = true;
         events.push({end, w, id});
         progress = true;

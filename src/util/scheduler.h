@@ -21,15 +21,6 @@
 // the simulation — byte-identical run after run — and never of how many
 // host cores this process happened to get or which thread won a race.
 //
-// Flight groups model single-flight provisioning for monolithic (whole
-// chain in one task) schedules: tasks sharing a group id share one payment
-// of the group's cost. In the replay, the first task *dispatched* claims
-// the flight and pays; a task dispatched while the flight is in progress
-// blocks until it resolves (that is what a worker stuck on another
-// flight's condition variable really does); a task dispatched after pays
-// nothing. Attribution follows the deterministic virtual dispatch order,
-// not the racy host-side winner.
-//
 // Policy invariants shared by host execution and replay (keep in lockstep):
 //   * initial ready tasks are pushed to their home deque in descending
 //     submission order, so the owner pops them back-first in ascending
@@ -55,8 +46,8 @@ class WorkStealingScheduler {
  public:
   struct Options {
     size_t workers = 1;
-    // false: tasks never leave their home deque (the legacy static shards,
-    // expressed as a degenerate policy of the same scheduler).
+    // false: a task never leaves the deque it was pushed to (the legacy
+    // static shards, expressed as a degenerate policy of the same scheduler).
     bool stealing = true;
   };
 
@@ -69,8 +60,6 @@ class WorkStealingScheduler {
     int pin = -1;       // >= 0: only this worker may ever run the task.
     // Earlier-submitted task ids that must complete first.
     std::vector<size_t> deps;
-    // Flight groups (DefineFlightGroup ids) this task joins, paid in order.
-    std::vector<size_t> groups;
     // Virtual release (arrival) time: the replay will not dispatch the task
     // before this instant even when a worker is idle — how a request-driven
     // serving layer injects open-loop arrivals into the schedule. Host
@@ -81,28 +70,22 @@ class WorkStealingScheduler {
 
   explicit WorkStealingScheduler(Options options);
 
-  // Declares a single-flight cost shared by every task that joins the
-  // group: the first dispatched task pays `cost`, concurrent tasks wait,
-  // later tasks ride free. Returns the group id.
-  size_t DefineFlightGroup(Nanos cost);
-
   // Submits a task; returns its id (the submission ordinal). The task set
   // is closed: all Submit calls happen before Run.
   size_t Submit(TaskSpec spec);
 
   struct TaskRecord {
     size_t id = 0;
-    int worker = 0;        // Virtual worker the replay assigned.
-    Nanos dispatched = 0;  // Virtual instant the worker took the task.
-    Nanos start = 0;       // After any flight-group wait.
+    int worker = 0;       // Virtual worker the replay assigned.
+    Nanos start = 0;      // Virtual instant the worker took the task.
     Nanos end = 0;
-    bool stolen = false;   // Taken from another worker's deque.
+    bool stolen = false;  // Taken from another worker's deque.
     std::string label;
   };
 
   struct Report {
     Nanos makespan = 0;                    // Latest virtual completion.
-    std::vector<Nanos> worker_busy;        // Occupied time (incl. flight waits).
+    std::vector<Nanos> worker_busy;        // Sum of task costs per worker.
     std::vector<size_t> worker_queue_peak; // Max deque depth per worker.
     size_t steals = 0;                     // Replay-level migrations.
     std::vector<TaskRecord> tasks;         // Indexed by task id.
@@ -117,24 +100,20 @@ class WorkStealingScheduler {
   Report Run();
 
   // The deterministic virtual-time replay, exposed for unit tests and for
-  // schedules whose costs are known up front. `group_costs[g]` is the cost
-  // of flight group g.
+  // schedules whose costs are known up front.
   struct SimTask {
     int home = 0;
     int pin = -1;
     Nanos cost = 0;
     std::vector<size_t> deps;
-    std::vector<size_t> groups;
     std::string label;
     Nanos release = 0;  // Earliest virtual dispatch instant (see TaskSpec).
   };
-  static Report Simulate(const Options& options, const std::vector<SimTask>& tasks,
-                         const std::vector<Nanos>& group_costs);
+  static Report Simulate(const Options& options, const std::vector<SimTask>& tasks);
 
  private:
   Options options_;
   std::vector<TaskSpec> specs_;
-  std::vector<Nanos> group_costs_;
 };
 
 }  // namespace lupine

@@ -16,7 +16,7 @@
 //
 // Grants are RAII: destroying (or Release()-ing) a Grant returns its bytes
 // to the budget and wakes queued waiters in arrival order. The controller is
-// thread-safe — fleet-boot workers on a ThreadPool call Admit() concurrently.
+// thread-safe — fleet-boot scheduler workers call Admit() concurrently.
 #ifndef SRC_VMM_ADMISSION_H_
 #define SRC_VMM_ADMISSION_H_
 

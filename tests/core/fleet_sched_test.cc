@@ -1,14 +1,16 @@
-// Fleet scheduling: the work-stealing deques and the pipelined provisioning
-// DAG composed over RunFleetBoot. The FleetSchedStorm suite is Boot()-only —
-// no fiber ever runs.
+// Fleet scheduling: the provisioning stage DAG over RunFleetBoot, with
+// stealing off (kStaticShards) or on (kPipelined). The FleetSchedStorm suite
+// is Boot()-only — no fiber ever runs.
 #include <gtest/gtest.h>
 
+#include <map>
 #include <string>
 #include <vector>
 
 #include "src/core/fleet_boot.h"
 #include "src/kconfig/presets.h"
 #include "src/telemetry/export.h"
+#include "src/telemetry/journal.h"
 #include "src/util/fault.h"
 #include "src/util/retry.h"
 
@@ -54,19 +56,20 @@ size_t CountOccurrences(const std::string& haystack, const std::string& needle) 
 TEST(FleetSchedStorm, FaultLogIdenticalAcrossWorkersAndSchedules) {
   // The replay-determinism contract, now across scheduling policies too:
   // each task's injector and retrier are functions of (plan, task index,
-  // app), so the fault schedule cannot depend on which deque a task ran
-  // from, whether it was stolen, or whether provisioning was split out.
+  // app), so the fault schedule — and the canonical journal, stamped with
+  // task-relative offsets — cannot depend on which deque a task ran from or
+  // whether it was stolen.
   FaultPlan plan;
   plan.seed = 7;
   plan.Add({.site = FaultSite::kBootInitcall, .probability = 0.3});
   plan.Add({.site = FaultSite::kBootDecompress, .probability = 0.1});
 
   std::vector<std::string> reference_log;
+  std::string reference_journal;
   size_t reference_retries = 0;
   size_t reference_failures = 0;
   bool first = true;
-  for (FleetSchedule schedule : {FleetSchedule::kStaticShards, FleetSchedule::kWorkStealing,
-                                 FleetSchedule::kPipelined}) {
+  for (FleetSchedule schedule : {FleetSchedule::kStaticShards, FleetSchedule::kPipelined}) {
     for (size_t workers : {1u, 2u, 4u, 8u}) {
       FleetBootOptions options;
       options.workers = workers;
@@ -74,10 +77,14 @@ TEST(FleetSchedStorm, FaultLogIdenticalAcrossWorkersAndSchedules) {
       options.schedule = schedule;
       options.retry = FastRetry(4);
       options.fault_plan = &plan;
+      telemetry::Journal journal;
+      options.journal = &journal;
       auto result = RunFleetBoot(Cache(), options);
       ASSERT_TRUE(result.ok()) << "workers=" << workers;
+      ASSERT_EQ(journal.dropped(), 0u);
       if (first) {
         reference_log = result->fault_log;
+        reference_journal = journal.ExportJsonl();
         reference_retries = result->retries;
         reference_failures = result->failures;
         first = false;
@@ -85,6 +92,7 @@ TEST(FleetSchedStorm, FaultLogIdenticalAcrossWorkersAndSchedules) {
         continue;
       }
       EXPECT_EQ(result->fault_log, reference_log) << "workers=" << workers;
+      EXPECT_EQ(journal.ExportJsonl(), reference_journal) << "workers=" << workers;
       EXPECT_EQ(result->retries, reference_retries) << "workers=" << workers;
       EXPECT_EQ(result->failures, reference_failures) << "workers=" << workers;
     }
@@ -111,7 +119,7 @@ TEST(FleetSchedStorm, StealingDrainsAroundASkewedApp) {
     auto static_run = RunFleetBoot(Cache(), options);
     ASSERT_TRUE(static_run.ok());
 
-    options.schedule = FleetSchedule::kWorkStealing;
+    options.schedule = FleetSchedule::kPipelined;
     auto stealing_run = RunFleetBoot(Cache(), options);
     ASSERT_TRUE(stealing_run.ok());
 
@@ -124,58 +132,83 @@ TEST(FleetSchedStorm, StealingDrainsAroundASkewedApp) {
   }
 }
 
-TEST(FleetSchedStorm, WarmCachePipelinedEqualsMonolithicStealing) {
-  // On a warm cache the pipelined DAG has no provisioning tasks and the
-  // monolithic schedule has no flight groups: both reduce to the same boot
-  // task set under the same deque policy, so the replay must be identical.
-  for (size_t workers : {1u, 4u}) {
-    FleetBootOptions options;
-    options.workers = workers;
-
-    options.schedule = FleetSchedule::kWorkStealing;
-    auto monolithic = RunFleetBoot(Cache(), options);
-    ASSERT_TRUE(monolithic.ok());
-
-    options.schedule = FleetSchedule::kPipelined;
-    auto pipelined = RunFleetBoot(Cache(), options);
-    ASSERT_TRUE(pipelined.ok());
-
-    EXPECT_EQ(pipelined->virtual_makespan, monolithic->virtual_makespan)
-        << "workers=" << workers;
-    EXPECT_EQ(pipelined->virtual_boot_total, monolithic->virtual_boot_total);
-    EXPECT_EQ(pipelined->worker_virtual, monolithic->worker_virtual);
-  }
-}
-
-TEST(FleetSchedStorm, ColdCachePipeliningBeatsMonolithicFlights) {
-  // Fresh caches: the monolithic schedule hides cold provisioning inside
-  // boot tasks as single-flight groups, so workers block on each other's
-  // flights; the pipelined DAG splits the stages into their own tasks and
-  // overlaps them. Same fleet, same modeled stage costs — pipelining must
-  // strictly win.
+TEST(FleetSchedStorm, ColdCacheStaticAndPipelinedRunTheSameStages) {
+  // Fresh caches: both schedules submit the same stage DAG (one kernel task
+  // per distinct fingerprint, one rootfs task per distinct rootfs key, each
+  // boot behind its stages), so they provision and charge exactly the same
+  // work. Stealing off moves nothing between deques; stealing on can only
+  // shorten the makespan.
   FleetBootOptions options;
   options.workers = 4;
 
-  KernelCache monolithic_cache;
-  monolithic_cache.set_quarantine({.enabled = false});
-  options.schedule = FleetSchedule::kWorkStealing;
-  auto monolithic = RunFleetBoot(monolithic_cache, options);
-  ASSERT_TRUE(monolithic.ok()) << monolithic.status().ToString();
+  KernelCache static_cache;
+  options.schedule = FleetSchedule::kStaticShards;
+  auto static_run = RunFleetBoot(static_cache, options);
+  ASSERT_TRUE(static_run.ok()) << static_run.status().ToString();
 
   KernelCache pipelined_cache;
-  pipelined_cache.set_quarantine({.enabled = false});
   options.schedule = FleetSchedule::kPipelined;
   auto pipelined = RunFleetBoot(pipelined_cache, options);
   ASSERT_TRUE(pipelined.ok()) << pipelined.status().ToString();
 
-  EXPECT_LT(pipelined->virtual_makespan, monolithic->virtual_makespan);
-  // Both points provision every artifact exactly once (single-flight /
-  // one task per distinct stage key), so the caches end up identical.
-  EXPECT_EQ(pipelined_cache.stats().builds, monolithic_cache.stats().builds);
-  EXPECT_EQ(pipelined_cache.rootfs_stats().builds, monolithic_cache.rootfs_stats().builds);
-  // And the total work charged is the same — only the overlap differs.
-  EXPECT_EQ(pipelined->virtual_boot_total, monolithic->virtual_boot_total);
+  EXPECT_EQ(pipelined_cache.stats().builds, static_cache.stats().builds);
+  EXPECT_EQ(pipelined_cache.rootfs_stats().builds, static_cache.rootfs_stats().builds);
+  EXPECT_EQ(pipelined->virtual_boot_total, static_run->virtual_boot_total);
+  EXPECT_EQ(static_run->steals, 0u);
+  EXPECT_LE(pipelined->virtual_makespan, static_run->virtual_makespan);
+  EXPECT_EQ(static_run->boots, kconfig::Top20AppNames().size());
   EXPECT_EQ(pipelined->boots, kconfig::Top20AppNames().size());
+}
+
+TEST(FleetSchedStorm, ColdCacheSupervisedShardsWaitOnTheSameStages) {
+  // Fresh caches, supervised: each pinned shard task depends on its
+  // members' stages, so the stages build every kernel and rootfs exactly as
+  // in direct mode and no shard starts before they end. In the two-app
+  // fleet both apps share one kernel, built on the other shard's worker.
+  const std::vector<std::vector<std::string>> fleets = {kconfig::Top20AppNames(),
+                                                        {"golang", "hello-world"}};
+  for (const std::vector<std::string>& apps : fleets) {
+    FleetBootOptions options;
+    options.apps = apps;
+    options.workers = apps.size() > 2 ? 4 : 2;
+
+    KernelCache direct_cache;
+    auto direct = RunFleetBoot(direct_cache, options);
+    ASSERT_TRUE(direct.ok()) << direct.status().ToString();
+
+    KernelCache supervised_cache;
+    options.supervised = true;
+    auto supervised = RunFleetBoot(supervised_cache, options);
+    ASSERT_TRUE(supervised.ok()) << supervised.status().ToString();
+
+    EXPECT_EQ(supervised_cache.stats().builds, direct_cache.stats().builds);
+    EXPECT_EQ(supervised_cache.rootfs_stats().builds, direct_cache.rootfs_stats().builds);
+    EXPECT_EQ(supervised_cache.rootfs_stats().builds, apps.size());
+    EXPECT_EQ(supervised->boots, apps.size());
+    EXPECT_EQ(supervised->failures, 0u);
+
+    std::map<std::string, telemetry::Span> spans;
+    for (const auto& timeline : supervised->worker_timelines) {
+      for (const auto& span : timeline.spans()) {
+        spans[span.name] = span;
+      }
+    }
+    // A stage is labelled after the first app that needs it; shard w holds
+    // apps w, w + W, ...
+    std::map<std::string, std::string> kernel_owner;
+    std::map<std::string, std::string> rootfs_owner;
+    for (size_t i = 0; i < apps.size(); ++i) {
+      auto plan = supervised_cache.PlanProvisioning(apps[i]);
+      ASSERT_TRUE(plan.ok());
+      const std::string& kernel =
+          kernel_owner.try_emplace(plan->fingerprint, apps[i]).first->second;
+      const std::string& rootfs =
+          rootfs_owner.try_emplace(plan->rootfs_key, apps[i]).first->second;
+      const telemetry::Span& shard = spans.at("shard#" + std::to_string(i % options.workers));
+      EXPECT_GE(shard.start, spans.at("build:" + kernel).end) << apps[i];
+      EXPECT_GE(shard.start, spans.at("rootfs:" + rootfs).end) << apps[i];
+    }
+  }
 }
 
 TEST(FleetSchedStorm, WorkerTimelinesRenderAsChromeTrace) {

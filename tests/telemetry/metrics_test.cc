@@ -4,11 +4,11 @@
 
 #include <set>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "src/telemetry/export.h"
 #include "src/telemetry/span.h"
-#include "src/util/thread_pool.h"
 
 namespace lupine::telemetry {
 namespace {
@@ -152,18 +152,17 @@ TEST(ExportTest, IdenticalRegistriesExportIdenticalBytes) {
   EXPECT_EQ(ExportJson(r1), ExportJson(r2));
 }
 
-// tsan leg: hammer one registry from pool workers — find-or-create races,
+// tsan leg: hammer one registry from eight threads — find-or-create races,
 // label canonicalization races, concurrent Observe on shared cells, and
 // Collect() racing updates.
 TEST(TelemetryConcurrencyTest, RegistryStormFromPoolWorkers) {
   MetricRegistry registry;
   constexpr size_t kThreads = 8;
   constexpr int kIterations = 500;
-  ThreadPool pool(kThreads);
-  std::vector<std::future<void>> futures;
-  futures.reserve(kThreads);
+  std::vector<std::thread> threads;
+  threads.reserve(kThreads);
   for (size_t t = 0; t < kThreads; ++t) {
-    futures.push_back(pool.Submit([&registry, t] {
+    threads.emplace_back([&registry, t] {
       for (int i = 0; i < kIterations; ++i) {
         registry.GetCounter("storm.events").Increment();
         registry.GetCounter("storm.by_worker", {{"worker", std::to_string(t)}})
@@ -176,10 +175,10 @@ TEST(TelemetryConcurrencyTest, RegistryStormFromPoolWorkers) {
           ASSERT_GE(snapshot.size(), 1u);
         }
       }
-    }));
+    });
   }
-  for (auto& future : futures) {
-    future.get();
+  for (std::thread& thread : threads) {
+    thread.join();
   }
   EXPECT_EQ(registry.GetCounter("storm.events").value(), kThreads * kIterations);
   std::set<std::string> seen;

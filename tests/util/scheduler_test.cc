@@ -1,4 +1,4 @@
-// WorkStealingScheduler: deque policy, DAG gating, flight groups and the
+// WorkStealingScheduler: deque policy, DAG gating, pinning and the
 // determinism of the virtual-time replay. Most tests drive Simulate directly
 // — the replay is the product (every reported fleet figure comes from it);
 // host execution is covered by the SchedulerStorm suite, which is
@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <thread>
 #include <vector>
 
 #include "src/util/units.h"
@@ -18,9 +19,8 @@ namespace {
 using Report = WorkStealingScheduler::Report;
 using SimTask = WorkStealingScheduler::SimTask;
 
-Report Sim(size_t workers, bool stealing, const std::vector<SimTask>& tasks,
-           const std::vector<Nanos>& group_costs = {}) {
-  return WorkStealingScheduler::Simulate({workers, stealing}, tasks, group_costs);
+Report Sim(size_t workers, bool stealing, const std::vector<SimTask>& tasks) {
+  return WorkStealingScheduler::Simulate({workers, stealing}, tasks);
 }
 
 TEST(SchedulerTest, OneWorkerRunsTheLegacySerialOrder) {
@@ -118,26 +118,29 @@ TEST(SchedulerTest, DependentStagesOverlapAcrossWorkers) {
   EXPECT_EQ(report.steals, 1u);
 }
 
-TEST(SchedulerTest, FlightGroupChargesOnePaymentAndBlocksConcurrents) {
-  // Two tasks join one 100ns flight group from different workers. The first
-  // dispatched pays and starts at 100; the concurrently-dispatched second
-  // waits out the flight and pays nothing — total group cost charged once.
-  std::vector<SimTask> tasks = {
-      {.home = 0, .cost = Nanos{10}, .groups = {0}},
-      {.home = 1, .cost = Nanos{10}, .groups = {0}},
-  };
-  Report report = Sim(2, /*stealing=*/true, tasks, {Nanos{100}});
-  EXPECT_EQ(report.tasks[0].dispatched, Nanos{0});
-  EXPECT_EQ(report.tasks[0].start, Nanos{100});  // Paid the flight.
-  EXPECT_EQ(report.tasks[1].dispatched, Nanos{0});
-  EXPECT_EQ(report.tasks[1].start, Nanos{100});  // Waited, paid nothing.
+TEST(SchedulerTest, PinnedDependentIsPushedToItsPinnedWorker) {
+  // The supervised fleet shape: a shard pinned to worker 0 waits on a
+  // provisioning stage that completes on worker 1. Once ready, the shard
+  // goes to worker 0's deque, not to the completing worker's, and the idle
+  // worker 1 may not steal it: it starts when worker 0 frees up.
+  std::vector<SimTask> tasks(3);
+  tasks[0].home = 1;  // The stage.
+  tasks[0].cost = Nanos{50};
+  tasks[1].home = 0;  // Keeps worker 0 busy past the stage.
+  tasks[1].pin = 0;
+  tasks[1].cost = Nanos{100};
+  tasks[2].home = 0;  // The shard.
+  tasks[2].pin = 0;
+  tasks[2].cost = Nanos{10};
+  tasks[2].deps = {0};
+  Report report = Sim(2, /*stealing=*/true, tasks);
+  EXPECT_EQ(report.tasks[0].worker, 1);
+  EXPECT_EQ(report.tasks[0].end, Nanos{50});
+  EXPECT_EQ(report.tasks[2].worker, 0);
+  EXPECT_FALSE(report.tasks[2].stolen);
+  EXPECT_EQ(report.tasks[2].start, Nanos{100});
   EXPECT_EQ(report.makespan, Nanos{110});
-  // A third member dispatched after the flight resolved rides free with no
-  // wait at all.
-  tasks.push_back({.home = 0, .cost = Nanos{10}, .groups = {0}});
-  Report late = Sim(1, /*stealing=*/true, tasks, {Nanos{100}});
-  EXPECT_EQ(late.tasks[2].start, late.tasks[2].dispatched);
-  EXPECT_EQ(late.makespan, Nanos{130});  // 100 flight + 3 x 10, paid once.
+  EXPECT_EQ(report.steals, 0u);
 }
 
 TEST(SchedulerTest, EmptyTaskSetTerminates) {
@@ -199,7 +202,7 @@ TEST(SchedulerStorm, HostExecutionRunsEveryBodyOnceAndReplaysIdentically) {
     if (i >= 8) {
       spec.deps.push_back(i - 8);
     }
-    mirror.push_back({spec.home, spec.pin, cost, spec.deps, spec.groups, spec.label});
+    mirror.push_back({spec.home, spec.pin, cost, spec.deps, spec.label});
     scheduler.Submit(std::move(spec));
   }
   Report host = scheduler.Run();
@@ -216,29 +219,38 @@ TEST(SchedulerStorm, HostExecutionRunsEveryBodyOnceAndReplaysIdentically) {
   }
 }
 
-TEST(SchedulerStorm, FlightGroupsExecuteHostBodiesExactlyOnce) {
-  // Group-sharing tasks from every worker: host-side single-flight must not
-  // duplicate or drop bodies however the threads race.
-  constexpr size_t kTasks = 64;
-  std::atomic<size_t> executed{0};
-  WorkStealingScheduler scheduler({.workers = 4});
-  const size_t group = scheduler.DefineFlightGroup(Millis(1));
-  for (size_t i = 0; i < kTasks; ++i) {
-    WorkStealingScheduler::TaskSpec spec;
-    spec.body = [&executed] {
-      executed.fetch_add(1, std::memory_order_relaxed);
-      return Nanos{5};
-    };
-    spec.home = static_cast<int>(i % 4);
-    spec.groups = {group};
-    scheduler.Submit(std::move(spec));
+TEST(SchedulerStorm, PinnedDependentRunsOnItsPinnedHostThread) {
+  // Host execution of the same shape: the stage is pinned to worker 1 and
+  // the shard to worker 0, behind the stage. The shard's body must run on
+  // worker 0's thread (the one that ran the other worker-0 task), never on
+  // the thread that completed its dependency.
+  for (int trial = 0; trial < 10; ++trial) {
+    std::vector<std::thread::id> ran_on(3);
+    WorkStealingScheduler::Options options;
+    options.workers = 2;
+    WorkStealingScheduler scheduler(options);
+    for (size_t i = 0; i < 3; ++i) {
+      WorkStealingScheduler::TaskSpec spec;
+      spec.body = [&ran_on, i] {
+        ran_on[i] = std::this_thread::get_id();
+        return Nanos{static_cast<Nanos>(10 * (i + 1))};
+      };
+      spec.home = i == 0 ? 1 : 0;
+      spec.pin = spec.home;
+      if (i == 2) {
+        spec.deps = {0};
+      }
+      scheduler.Submit(std::move(spec));
+    }
+    Report report = scheduler.Run();
+    EXPECT_EQ(ran_on[2], ran_on[1]) << "trial " << trial;
+    EXPECT_NE(ran_on[2], ran_on[0]) << "trial " << trial;
+    EXPECT_EQ(report.tasks[0].worker, 1);
+    EXPECT_EQ(report.tasks[2].worker, 0);
+    EXPECT_FALSE(report.tasks[2].stolen);
+    EXPECT_EQ(report.tasks[2].start, Nanos{20});  // Worker 0 frees at 20.
+    EXPECT_EQ(report.steals, 0u);
   }
-  Report report = scheduler.Run();
-  EXPECT_EQ(executed.load(), kTasks);
-  // Exactly one task paid the 1ms flight; everyone else overlapped or rode
-  // free, so the makespan is far below 64 serial payments.
-  EXPECT_GE(report.makespan, Millis(1));
-  EXPECT_LT(report.makespan, Millis(2));
 }
 
 
@@ -287,7 +299,7 @@ TEST(SchedulerTest, ReleasedScheduleReplaysIdenticallyAcrossWorkerCounts) {
   EXPECT_EQ(a.makespan, b.makespan);
   for (size_t i = 0; i < tasks.size(); ++i) {
     EXPECT_EQ(a.tasks[i].start, b.tasks[i].start) << i;
-    EXPECT_GE(a.tasks[i].dispatched, tasks[i].release) << i;
+    EXPECT_GE(a.tasks[i].start, tasks[i].release) << i;
   }
 }
 
