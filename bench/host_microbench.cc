@@ -1,10 +1,11 @@
 // Host-level microbenchmarks (google-benchmark) of the simulator's own
 // primitives: fiber switching, scheduler throughput, rootfs codec, config
-// resolution. These measure the reproduction infrastructure itself, not the
-// simulated guest.
+// resolution, kernel image build, config fingerprint. These measure the
+// reproduction infrastructure itself, not the simulated guest.
 #include <benchmark/benchmark.h>
 
 #include "src/apps/rootfs_builder.h"
+#include "src/core/multik.h"
 #include "src/guestos/rootfs.h"
 #include "src/guestos/sched.h"
 #include "src/kbuild/builder.h"
@@ -75,6 +76,14 @@ void BM_KernelImageBuild(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_KernelImageBuild);
+
+void BM_ConfigFingerprint(benchmark::State& state) {
+  kconfig::Config config = kconfig::LupineForApp("nginx").take();
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(core::KernelCache::ConfigFingerprint(config));
+  }
+}
+BENCHMARK(BM_ConfigFingerprint);
 
 }  // namespace
 

@@ -1,7 +1,5 @@
 #include "src/kconfig/config.h"
 
-#include <algorithm>
-
 namespace lupine::kconfig {
 namespace {
 
@@ -87,10 +85,8 @@ std::vector<OptionId> Config::EnabledIds() const {
 }
 
 std::vector<OptionId> Config::EnabledIdsByName() const {
-  const auto& interner = OptionInterner::Global();
   std::vector<OptionId> ids = EnabledIds();
-  std::sort(ids.begin(), ids.end(),
-            [&](OptionId a, OptionId b) { return interner.NameOf(a) < interner.NameOf(b); });
+  OptionInterner::Global().SortByName(ids);
   return ids;
 }
 

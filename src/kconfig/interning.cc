@@ -1,5 +1,6 @@
 #include "src/kconfig/interning.h"
 
+#include <algorithm>
 #include <memory>
 #include <mutex>
 
@@ -50,6 +51,36 @@ OptionId OptionInterner::Find(std::string_view name) const {
 size_t OptionInterner::size() const {
   std::shared_lock lock(mu_);
   return size_;
+}
+
+void OptionInterner::SortByName(std::vector<OptionId>& ids) const {
+  const auto by_rank = [this](OptionId a, OptionId b) { return rank_[a] < rank_[b]; };
+  {
+    std::shared_lock lock(mu_);
+    if (std::all_of(ids.begin(), ids.end(), [this](OptionId id) { return Ranked(id); })) {
+      std::sort(ids.begin(), ids.end(), by_rank);
+      return;
+    }
+  }
+  std::unique_lock lock(mu_);
+  // Rechecked under the writer lock: another sort may have ranked some.
+  std::vector<OptionId> newcomers;
+  for (OptionId id : ids) {
+    if (!Ranked(id)) {
+      newcomers.push_back(id);
+    }
+  }
+  const auto by_name = [this](OptionId a, OptionId b) { return NameOf(a) < NameOf(b); };
+  std::sort(newcomers.begin(), newcomers.end(), by_name);
+  newcomers.erase(std::unique(newcomers.begin(), newcomers.end()), newcomers.end());
+  const size_t ranked = by_name_.size();
+  by_name_.insert(by_name_.end(), newcomers.begin(), newcomers.end());
+  std::inplace_merge(by_name_.begin(), by_name_.begin() + ranked, by_name_.end(), by_name);
+  rank_.resize(size_, kUnranked);
+  for (size_t i = 0; i < by_name_.size(); ++i) {
+    rank_[by_name_[i]] = static_cast<uint32_t>(i);
+  }
+  std::sort(ids.begin(), ids.end(), by_rank);
 }
 
 }  // namespace lupine::kconfig

@@ -34,6 +34,13 @@ inline constexpr OptionId kNoOption = 0xFFFFFFFFu;
 // returns its id, so a reader that got the id from Intern (or from a Config
 // built with it) reads a finished name. NameOf references stay valid for the
 // process lifetime: the one instance is never destroyed.
+//
+// SortByName puts ids in name order through a lazy rank table: the ids
+// callers have sorted so far, kept in name order, and each one's position
+// there. Only sorted ids are ranked (a few hundred per preset, not the whole
+// table), and ranking a newcomer merges it in and renumbers under the writer
+// lock. A sort whose ids are all ranked takes the shared lock once and
+// compares integers, never strings.
 class OptionInterner {
  public:
   static OptionInterner& Global();
@@ -54,6 +61,10 @@ class OptionInterner {
   }
 
   size_t size() const;
+
+  // Sorts `ids` by name, ranking any id no earlier call has ranked. Every id
+  // must have been returned by Intern.
+  void SortByName(std::vector<OptionId>& ids) const;
 
  private:
   static constexpr int kFirstSegmentBits = 10;
@@ -76,12 +87,20 @@ class OptionInterner {
   static constexpr int kSegments =
       std::bit_width(uint64_t{kNoOption} - 1 + kFirstSegmentSize) - kFirstSegmentBits;
 
+  static constexpr uint32_t kUnranked = 0xFFFFFFFFu;
+
   OptionInterner() = default;
+
+  bool Ranked(OptionId id) const { return id < rank_.size() && rank_[id] != kUnranked; }
 
   mutable std::shared_mutex mu_;
   std::array<std::atomic<std::string*>, kSegments> segments_{};  // Written under mu_.
   size_t size_ = 0;                                              // Guarded by mu_.
   std::unordered_map<std::string_view, OptionId> ids_;           // Views into segments_.
+  // The rank table behind SortByName, guarded by mu_: ranked ids in name
+  // order, and id -> position in by_name_ (kUnranked for the rest).
+  mutable std::vector<OptionId> by_name_;
+  mutable std::vector<uint32_t> rank_;
 };
 
 // Fixed-width bitset helpers shared by Config and the resolver (word = 64

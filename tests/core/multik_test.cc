@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <functional>
 #include <sstream>
 #include <string>
@@ -88,10 +89,16 @@ TEST(MultikTest, FingerprintIgnoresConfigName) {
   EXPECT_NE(KernelCache::ConfigFingerprint(a), KernelCache::ConfigFingerprint(b));
 }
 
-// The string-keyed fingerprint: sorted names, a GetValue lookup per name.
+// The string-keyed fingerprint: the enabled names sorted as strings (not
+// through EnabledIdsByName), a GetValue lookup per name.
 std::string ReferenceFingerprint(const kconfig::Config& config) {
+  std::vector<std::string> names;
+  for (kconfig::OptionId id : config.EnabledIds()) {
+    names.push_back(kconfig::OptionInterner::Global().NameOf(id));
+  }
+  std::sort(names.begin(), names.end());
   std::ostringstream text;
-  for (const auto& option : config.EnabledOptions()) {
+  for (const auto& option : names) {
     text << option << "=" << config.GetValue(option) << ";";
   }
   text << "mode=" << (config.compile_mode() == kconfig::CompileMode::kOs ? "Os" : "O2");
@@ -124,6 +131,13 @@ TEST(MultikTest, FingerprintMatchesTheStringKeyedReference) {
     EXPECT_EQ(KernelCache::ConfigFingerprint(config), ReferenceFingerprint(config))
         << config.name() << " (" << config.EnabledIds().size() << " options)";
   }
+
+  // A name first interned after every fingerprint above ranked its options,
+  // sorting between two of them.
+  kconfig::Config late = kconfig::LupineBase();
+  ASSERT_TRUE(late.IsEnabled("BASE_CORE_0004") && late.IsEnabled("BASE_CORE_0005"));
+  late.Enable("BASE_CORE_0004_LATE");
+  EXPECT_EQ(KernelCache::ConfigFingerprint(late), ReferenceFingerprint(late));
 }
 
 }  // namespace

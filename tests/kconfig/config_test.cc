@@ -2,8 +2,25 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <string>
+#include <vector>
+
+#include "src/kconfig/presets.h"
+
 namespace lupine::kconfig {
 namespace {
+
+// The enabled names sorted as strings, without going through
+// EnabledIdsByName.
+std::vector<std::string> SortedNames(const Config& config) {
+  std::vector<std::string> names;
+  for (OptionId id : config.EnabledIds()) {
+    names.push_back(OptionInterner::Global().NameOf(id));
+  }
+  std::sort(names.begin(), names.end());
+  return names;
+}
 
 TEST(ConfigTest, EnableDisable) {
   Config c("test");
@@ -53,8 +70,12 @@ TEST(ConfigTest, EnabledOptionsSortedAndComplete) {
   c.Enable("A");
   auto options = c.EnabledOptions();
   ASSERT_EQ(options.size(), 2u);
-  EXPECT_EQ(options[0], "A");  // std::map ordering.
+  EXPECT_EQ(options[0], "A");
   EXPECT_EQ(options[1], "B");
+
+  const Config microvm = MicrovmConfig();
+  ASSERT_EQ(microvm.EnabledIds().size(), 833u);
+  EXPECT_EQ(microvm.EnabledOptions(), SortedNames(microvm));
 }
 
 TEST(ConfigTest, EqualityIgnoresName) {
