@@ -1,10 +1,9 @@
 // Extension: chaos sweep over the fleet resilience layer. The paper's
 // posture (Section 2.2) is that a Lupine guest cannot recover itself — the
 // application runs in ring 0 — so every recovery mechanism lives monitor
-// side: per-task retries with deterministic backoff, per-stage deadlines,
-// artifact quarantine and a fleet circuit breaker. This benchmark injects
-// seeded fault schedules into whole fleet boots and measures what those
-// mechanisms buy.
+// side: per-task retries with deterministic backoff, a boot deadline and
+// artifact quarantine. This benchmark injects seeded fault schedules into
+// whole fleet boots and measures what those mechanisms buy.
 //
 // Legs:
 //   1. Baseline — the top-20 fleet, no faults, the reference makespan.
@@ -124,7 +123,7 @@ int main() {
       options.workers = kWorkers;
       options.rounds = kRounds;
       options.retry = ChaosRetry(4);
-      options.deadlines.boot = Seconds(2);  // Caps a kBootStall wedge at 2s, not 60s.
+      options.boot_deadline = Seconds(2);  // Caps a kBootStall wedge at 2s, not 60s.
       options.fault_plan = &plan;
       auto result = core::RunFleetBoot(cache, options);
       if (!result.ok()) {

@@ -25,13 +25,12 @@ struct BootTask {
   // marks the one task per key that cold-boots and publishes the snapshot;
   // every other same-key task restores (and depends on the capture task in
   // the schedule, so the lookup cannot race).
-  std::string snapshot_key;
+  std::string snapshot_key = {};
   bool snapshot_capture = false;
 };
 
-// Everything one scheduler task reports back. Direct mode fills one per boot
-// task; supervised mode fills one per shard. Each task body writes only its
-// own slot, so no synchronization is needed beyond the scheduler's joins.
+// Everything one boot task reports back. Each task body writes only its own
+// slot, so no synchronization is needed beyond the scheduler's joins.
 struct TaskOutcome {
   Nanos virtual_time = 0;
   size_t boots = 0;
@@ -47,7 +46,6 @@ struct TaskOutcome {
   size_t launch_failures = 0;
   size_t deadline_exceeded = 0;
   size_t quarantined = 0;
-  size_t breaker_denied = 0;
   size_t recovered = 0;
   size_t unretried = 0;  // Permanent-error failures that never saw a retry.
   Nanos recovery_total = 0;
@@ -59,7 +57,7 @@ struct TaskOutcome {
   std::vector<std::pair<size_t, std::string>> fault_logs;  // (task index, line).
 };
 
-// Flight-recorder emission for one direct-mode task. `offset` is the task's
+// Flight-recorder emission for one boot task. `offset` is the task's
 // accumulated virtual time at the event — a pure function of (plan, seed,
 // task index), never of scheduling — so the journal's canonical export is
 // byte-identical across worker counts.
@@ -118,22 +116,21 @@ Nanos InitExecNanos(const vmm::Vm& vm) {
 }
 
 // One launch attempt's verdict. kDenied attempts never consulted a VM
-// (admission rejection, breaker denial, quarantine) and are not retried;
-// kFatal aborts the whole fleet (an artifact that cannot be built at all).
+// (admission rejection, quarantine) and are not retried; kFatal aborts the
+// whole fleet (an artifact that cannot be built at all).
 struct AttemptResult {
   enum Kind { kSuccess, kFail, kDenied, kFatal };
   Kind kind = kFail;
   Status status = Status::Ok();
-  Nanos charge = 0;       // Virtual time the failed attempt cost the task.
-  bool launched = false;  // A VM ran: the outcome feeds the circuit breaker.
-  bool report = false;    // Launch failure worth reporting to quarantine.
+  Nanos charge = 0;     // Virtual time the failed attempt cost the task.
+  bool report = false;  // Launch failure worth reporting to quarantine.
 };
 
-// One launch attempt: artifact fetch, stage deadlines, admission, boot and
-// (optionally) the workload, with counters landing in `outcome`.
+// One launch attempt: artifact fetch, admission, then restore or boot under
+// the boot deadline, with counters landing in `outcome`.
 AttemptResult RunBootAttempt(KernelCache& cache, const BootTask& task,
                              const FleetBootOptions& options, FaultInjector& injector,
-                             bool first_attempt, Nanos offset, TaskOutcome& outcome) {
+                             Nanos offset, TaskOutcome& outcome) {
   AttemptResult result;
   auto artifact = cache.GetOrBuild(task.app);
   if (!artifact.ok()) {
@@ -152,34 +149,6 @@ AttemptResult RunBootAttempt(KernelCache& cache, const BootTask& task,
     result.status = artifact.status();
     return result;
   }
-  // Host-wall provisioning deadlines apply to fresh builds (artifacts with
-  // a provisioning trace) and are priced once, on the task's first attempt,
-  // so the counters do not depend on which worker's task happened to
-  // trigger the build.
-  if (first_attempt && (*artifact)->provisioning != nullptr) {
-    struct StageLimit {
-      const char* span;
-      Nanos limit;
-    };
-    for (const StageLimit stage : {StageLimit{"build", options.deadlines.build},
-                                   StageLimit{"load-rootfs", options.deadlines.rootfs}}) {
-      const telemetry::Span* span = (*artifact)->provisioning->Find(stage.span);
-      if (span == nullptr) {
-        continue;
-      }
-      if (Status s = DeadlineGuard::CheckElapsed(stage.span, stage.limit, span->duration());
-          !s.ok()) {
-        ++outcome.deadline_exceeded;
-        ++outcome.launch_failures;
-        result.kind = AttemptResult::kFail;
-        result.status = s;
-        EmitTaskEvent(options, task, offset, "deadline",
-                      {{"stage", telemetry::FieldValue{std::string(stage.span)}}});
-        return result;
-      }
-    }
-  }
-
   // The grant is declared before the VM so the VM is destroyed first and
   // the bytes return to the budget only once the guest is really gone.
   vmm::Grant grant;
@@ -215,12 +184,11 @@ AttemptResult RunBootAttempt(KernelCache& cache, const BootTask& task,
   }
   if (snapshot != nullptr) {
     // Warm launch: re-materialize the captured post-init state at restore
-    // cost. Boot-stage deadlines do not apply (there is no boot); a failed
+    // cost. The boot deadline does not apply (there is no boot); a failed
     // restore is charged the modeled restore cost, feeds the store's
     // drop-once-then-poison quarantine, and the retry cold-boots (the
     // suspect entry is gone by then).
     auto restored = vmm::Vm::Restore(*snapshot, injector.armed() ? &injector : nullptr);
-    result.launched = true;
     if (!restored.ok()) {
       options.snapshots->RecordRestore(*snapshot, false);
       options.snapshots->ReportRestoreFailure(task.snapshot_key);
@@ -240,106 +208,62 @@ AttemptResult RunBootAttempt(KernelCache& cache, const BootTask& task,
                   {{"restore_ns",
                     telemetry::FieldValue{static_cast<uint64_t>(snapshot->restore_ns)}}});
   } else {
-  vm = (*artifact)->Launch(memory, injector.armed() ? &injector : nullptr);
-  result.launched = true;
-  DeadlineGuard boot_guard(vm->kernel().clock(), "boot", options.deadlines.boot);
-  if (Status s = vm->Boot(); !s.ok()) {
-    // Failed boots charge the task the virtual instant the guest died —
-    // or the deadline, had the monitor's timer fired first.
-    ++outcome.launch_failures;
-    result.kind = AttemptResult::kFail;
-    result.status = s;
-    result.charge = boot_guard.charged();
-    result.report = true;
-    if (boot_guard.expired()) {
+    vm = (*artifact)->Launch(memory, injector.armed() ? &injector : nullptr);
+    DeadlineGuard boot_guard(vm->kernel().clock(), "boot", options.boot_deadline);
+    if (Status s = vm->Boot(); !s.ok()) {
+      // Failed boots charge the task the virtual instant the guest died —
+      // or the deadline, had the monitor's timer fired first.
+      ++outcome.launch_failures;
+      result.kind = AttemptResult::kFail;
+      result.status = s;
+      result.charge = boot_guard.charged();
+      result.report = true;
+      if (boot_guard.expired()) {
+        ++outcome.deadline_exceeded;
+        EmitTaskEvent(options, task, offset + result.charge, "deadline",
+                      {{"stage", telemetry::FieldValue{std::string("boot")}}});
+      }
+      EmitTaskEvent(options, task, offset + result.charge, "launch-failure",
+                    {{"error", telemetry::FieldValue{s.ToString()}}});
+      return result;
+    }
+    const Nanos boot_ns = vm->boot_report().to_init - InitExecNanos(*vm);
+    if (Status s = DeadlineGuard::CheckElapsed("boot", options.boot_deadline, boot_ns);
+        !s.ok()) {
+      // The boot overran its deadline: the monitor would have killed the VM
+      // at that instant (a kBootStall wedge costs the deadline, not 60s).
       ++outcome.deadline_exceeded;
+      ++outcome.launch_failures;
+      result.kind = AttemptResult::kFail;
+      result.status = s;
+      result.charge = options.boot_deadline;
+      result.report = true;  // An artifact that stalls every boot is a bad artifact.
       EmitTaskEvent(options, task, offset + result.charge, "deadline",
                     {{"stage", telemetry::FieldValue{std::string("boot")}}});
-    }
-    EmitTaskEvent(options, task, offset + result.charge, "launch-failure",
-                  {{"error", telemetry::FieldValue{s.ToString()}}});
-    return result;
-  }
-  const Nanos init_ns = InitExecNanos(*vm);
-  const Nanos boot_ns = vm->boot_report().to_init - init_ns;
-  Status stage = DeadlineGuard::CheckElapsed("boot", options.deadlines.boot, boot_ns);
-  Nanos killed_at = options.deadlines.boot;
-  if (stage.ok()) {
-    stage = DeadlineGuard::CheckElapsed("init", options.deadlines.init, init_ns);
-    killed_at = boot_ns + options.deadlines.init;
-  }
-  if (!stage.ok()) {
-    // A stage overran its deadline: the monitor would have killed the VM
-    // at that instant (a kBootStall wedge costs the deadline, not 60s).
-    ++outcome.deadline_exceeded;
-    ++outcome.launch_failures;
-    result.kind = AttemptResult::kFail;
-    result.status = stage;
-    result.charge = killed_at;
-    result.report = true;  // An artifact that stalls every boot is a bad artifact.
-    EmitTaskEvent(options, task, offset + result.charge, "deadline",
-                  {{"stage", telemetry::FieldValue{std::string(
-                                 killed_at == options.deadlines.boot ? "boot" : "init")}}});
-    return result;
-  }
-
-  // Capture: publish this cold boot's post-init state before any workload
-  // runs (the digest covers the console and syscall tables, which a run
-  // mutates). The guest is paused while the monitor serializes its memory,
-  // so the cost lands on the task's timeline, not the guest clock.
-  if (options.snapshots != nullptr && task.snapshot_capture &&
-      !options.snapshots->Contains(task.snapshot_key)) {
-    auto captured = guestos::CaptureSnapshot(vm->kernel(), task.snapshot_key, task.app,
-                                             (*artifact)->kernel, (*artifact)->boot_plan,
-                                             (*artifact)->rootfs);
-    if (captured.ok()) {
-      const Nanos capture_ns = captured.value().capture_ns;
-      options.snapshots->Put(captured.take());
-      ++outcome.snapshot_captures;
-      outcome.virtual_time += capture_ns;
-      EmitTaskEvent(options, task, offset + vm->boot_report().to_init + capture_ns,
-                    "snapshot-capture",
-                    {{"capture_ns", telemetry::FieldValue{static_cast<uint64_t>(capture_ns)}}});
-    }
-  }
-  }
-
-  bool workload_failed = false;
-  if (options.run_workload) {
-    DeadlineGuard guard(vm->kernel().clock(), "workload", options.deadlines.workload);
-    auto run = vm->RunToCompletion();
-    const bool server_parked = !run.ok() && run.status().err() == Err::kAgain;
-    if (guard.expired()) {
-      ++outcome.deadline_exceeded;
-      ++outcome.launch_failures;
-      result.kind = AttemptResult::kFail;
-      result.status = guard.Check();
-      result.charge = vm->boot_report().to_init + guard.charged();
-      EmitTaskEvent(options, task, offset + result.charge, "deadline",
-                    {{"stage", telemetry::FieldValue{std::string("workload")}}});
       return result;
     }
-    if (!server_parked && !run.ok() && IsRetryableError(run.status())) {
-      // Ring-0 panic (or an injected app fault): worth a fresh VM.
-      ++outcome.launch_failures;
-      result.kind = AttemptResult::kFail;
-      result.status = run.status();
-      result.charge = vm->kernel().clock().now();
-      result.report = true;
-      EmitTaskEvent(options, task, offset + result.charge, "launch-failure",
-                    {{"error", telemetry::FieldValue{run.status().ToString()}}});
-      return result;
-    }
-    if (!server_parked && (!run.ok() || run.value() != 0)) {
-      // Deterministic app failure: the boot held, retrying is pointless.
-      workload_failed = true;
+
+    // Capture: publish this cold boot's post-init state. The guest is
+    // paused while the monitor serializes its memory, so the cost lands on
+    // the task's timeline, not the guest clock.
+    if (options.snapshots != nullptr && task.snapshot_capture &&
+        !options.snapshots->Contains(task.snapshot_key)) {
+      auto captured = guestos::CaptureSnapshot(vm->kernel(), task.snapshot_key, task.app,
+                                               (*artifact)->kernel, (*artifact)->boot_plan,
+                                               (*artifact)->rootfs);
+      if (captured.ok()) {
+        const Nanos capture_ns = captured.value().capture_ns;
+        options.snapshots->Put(captured.take());
+        ++outcome.snapshot_captures;
+        outcome.virtual_time += capture_ns;
+        EmitTaskEvent(options, task, offset + vm->boot_report().to_init + capture_ns,
+                      "snapshot-capture",
+                      {{"capture_ns", telemetry::FieldValue{static_cast<uint64_t>(capture_ns)}}});
+      }
     }
   }
 
   result.kind = AttemptResult::kSuccess;
-  if (workload_failed) {
-    ++outcome.failures;
-  }
   ++outcome.boots;
   outcome.virtual_time += vm->boot_report().to_init;
   // Launch-cost split: a restored VM's to_init is its restore cost.
@@ -362,10 +286,10 @@ AttemptResult RunBootAttempt(KernelCache& cache, const BootTask& task,
 }
 
 // One boot task end to end: the retry loop around RunBootAttempt, with
-// breaker gating, quarantine feedback and recovery accounting. The VM of
-// every attempt is created and destroyed inside this call, on the one worker
-// thread running it (fibers are thread-local; migration happens before the
-// task starts, never mid-boot).
+// quarantine feedback and recovery accounting. The VM of every attempt is
+// created and destroyed inside this call, on the one worker thread running
+// it (fibers are thread-local; migration happens before the task starts,
+// never mid-boot).
 void RunBootTask(KernelCache& cache, const BootTask& task,
                  const FleetBootOptions& options, TaskOutcome& outcome) {
   FaultInjector injector = MakeTaskInjector(options.fault_plan, task.index, task.app);
@@ -375,19 +299,10 @@ void RunBootTask(KernelCache& cache, const BootTask& task,
   bool completed = false;
   EmitTaskEvent(options, task, 0, "task-start");
   for (int attempt = 0;; ++attempt) {
-    if (options.breaker != nullptr && !options.breaker->Allow()) {
-      ++outcome.breaker_denied;
-      EmitTaskEvent(options, task, elapsed, "breaker-denied");
-      break;
-    }
-    AttemptResult result = RunBootAttempt(cache, task, options, injector,
-                                          attempt == 0, elapsed, outcome);
+    AttemptResult result = RunBootAttempt(cache, task, options, injector, elapsed, outcome);
     if (result.kind == AttemptResult::kFatal) {
       outcome.status = result.status;
       return;
-    }
-    if (result.launched && options.breaker != nullptr) {
-      options.breaker->Record(result.kind == AttemptResult::kSuccess);
     }
     if (result.kind == AttemptResult::kSuccess) {
       completed = true;
@@ -439,76 +354,6 @@ void RunBootTask(KernelCache& cache, const BootTask& task,
   }
 }
 
-// Boots one shard under a worker-owned Supervisor (restart policy and all).
-// The supervisor runs its own retry machinery (options.supervisor_policy);
-// the fleet retry/deadline options do not apply here.
-TaskOutcome RunShardSupervised(KernelCache& cache, const std::vector<BootTask>& shard,
-                               const FleetBootOptions& options) {
-  TaskOutcome outcome;
-  vmm::Supervisor supervisor(options.supervisor_policy);
-  supervisor.set_metrics(options.metrics);
-  supervisor.set_journal(options.journal);
-  std::vector<std::string> names;
-  std::vector<std::unique_ptr<FaultInjector>> injectors;  // Stable addresses.
-  names.reserve(shard.size());
-  injectors.reserve(shard.size());
-  for (const BootTask& task : shard) {
-    auto artifact = cache.GetOrBuild(task.app);
-    if (!artifact.ok()) {
-      outcome.status = artifact.status();
-      return outcome;
-    }
-    const apps::AppManifest* manifest = apps::FindManifest(task.app);
-    std::string ready = manifest != nullptr && manifest->kind == apps::AppKind::kServer
-                            ? manifest->ready_line
-                            : "";
-    KernelCache::ArtifactPtr held = *artifact;
-    Bytes memory = options.memory;
-    injectors.push_back(std::make_unique<FaultInjector>(
-        MakeTaskInjector(options.fault_plan, task.index, task.app)));
-    FaultInjector* faults = injectors.back()->armed() ? injectors.back().get() : nullptr;
-    names.push_back(task.app + "#" + std::to_string(task.index));
-    supervisor.AddMember(names.back(),
-                         [held, memory, faults] { return held->Launch(memory, faults); },
-                         ready);
-  }
-  outcome.failures = supervisor.Run();
-  outcome.boots = shard.size() - outcome.failures;
-  outcome.virtual_time = supervisor.clock().now();
-  // Healthy servers keep their VM alive — those footprints are genuinely
-  // concurrent residency on this worker.
-  for (size_t i = 0; i < names.size(); ++i) {
-    const vmm::Supervisor::MemberStats& stats = supervisor.stats(names[i]);
-    if (stats.attempts > 1) {
-      outcome.retries += static_cast<size_t>(stats.attempts - 1);
-    }
-    outcome.launch_failures += static_cast<size_t>(stats.failures);
-    const vmm::MemberState state = supervisor.state(names[i]);
-    const bool alive = state == vmm::MemberState::kHealthy ||
-                       state == vmm::MemberState::kCompleted;
-    if (alive && stats.failures > 0) {
-      ++outcome.recovered;
-      if (stats.first_healthy_at >= 0) {
-        outcome.recovery_total += stats.first_healthy_at;
-      }
-    }
-    if (injectors[i]->total_fires() > 0) {
-      outcome.fault_logs.emplace_back(shard[i].index, FormatFaultLog(shard[i], *injectors[i]));
-    }
-    if (stats.vm == nullptr) {
-      continue;
-    }
-    const Bytes peak = stats.vm->kernel().mm().peak();
-    outcome.resident_sum += peak;
-    outcome.resident_peak = std::max(outcome.resident_peak, peak);
-    if (options.metrics != nullptr) {
-      options.metrics->GetHistogram("vm.resident_peak_bytes")
-          .Observe(static_cast<double>(peak));
-    }
-  }
-  return outcome;
-}
-
 }  // namespace
 
 Result<FleetBootResult> RunFleetBoot(KernelCache& cache, const FleetBootOptions& options) {
@@ -547,13 +392,13 @@ Result<FleetBootResult> RunFleetBoot(KernelCache& cache, const FleetBootOptions&
     plans.emplace(task.app, plan.take());
   }
 
-  // Snapshot plan (direct mode): the globally-first task per snapshot key
-  // captures; later same-key tasks restore and will depend on the capture
-  // task. A key already resident (pre-baked store) restores everywhere with
-  // no capture and no dep. Decided here, serially, so restore-vs-capture is
-  // a function of the plan — never of which worker won a cache race.
+  // Snapshot plan: the globally-first task per snapshot key captures; later
+  // same-key tasks restore and will depend on the capture task. A key
+  // already resident (pre-baked store) restores everywhere with no capture
+  // and no dep. Decided here, serially, so restore-vs-capture is a function
+  // of the plan — never of which worker won a cache race.
   std::map<std::string, size_t> capture_owner;  // key -> capturing task index.
-  if (options.snapshots != nullptr && !options.supervised) {
+  if (options.snapshots != nullptr) {
     for (BootTask& task : boot_tasks) {
       const KernelCache::ProvisionPlan& plan = plans.at(task.app);
       task.snapshot_key =
@@ -566,7 +411,6 @@ Result<FleetBootResult> RunFleetBoot(KernelCache& cache, const FleetBootOptions&
     }
   }
 
-  const size_t trips_before = options.breaker != nullptr ? options.breaker->trips() : 0;
   const auto wall_start = std::chrono::steady_clock::now();
 
   WorkStealingScheduler::Options sched_options;
@@ -576,7 +420,7 @@ Result<FleetBootResult> RunFleetBoot(KernelCache& cache, const FleetBootOptions&
 
   // Provisioning stages: one kernel task per distinct cold fingerprint, then
   // one rootfs task per distinct cold rootfs key, homed round-robin. Every
-  // launch task depends on its apps' stages, so cold provisioning overlaps
+  // launch task depends on its app's stages, so cold provisioning overlaps
   // across workers in both schedules.
   std::map<std::string, size_t> kernel_stage;  // fingerprint -> task id.
   std::map<std::string, size_t> rootfs_stage;  // rootfs key -> task id.
@@ -615,89 +459,45 @@ Result<FleetBootResult> RunFleetBoot(KernelCache& cache, const FleetBootOptions&
                    [&cache, app = task.app] { (void)cache.PrewarmRootfs(app); });
     }
   }
-  // Appends the stage tasks `app` waits on to `deps`, once each.
-  auto add_stage_deps = [&](const std::string& app, std::vector<size_t>& deps) {
-    const KernelCache::ProvisionPlan& plan = plans.at(app);
-    std::vector<size_t> stages;
+
+  // One launch task per boot. Outcome slots are sized before any Submit so
+  // the bodies' pointers into the vector stay stable; `sched_ids[index]`
+  // maps a boot task to its scheduler task for replay-worker attribution.
+  std::vector<TaskOutcome> outcomes(boot_tasks.size());
+  std::vector<size_t> sched_ids(boot_tasks.size());
+  std::atomic<bool> fatal{false};
+  for (const BootTask& task : boot_tasks) {
+    WorkStealingScheduler::TaskSpec spec;
+    TaskOutcome* slot = &outcomes[task.index];
+    spec.body = [&cache, &options, &fatal, slot, task] {
+      if (fatal.load(std::memory_order_relaxed)) {
+        return Nanos{0};  // Result is discarded on fatal; skip the work.
+      }
+      RunBootTask(cache, task, options, *slot);
+      if (!slot->status.ok()) {
+        fatal.store(true, std::memory_order_relaxed);
+      }
+      return slot->virtual_time;
+    };
+    spec.label = task.app + "#" + std::to_string(task.index);
+    spec.home = static_cast<int>(task.index % workers);
+    const KernelCache::ProvisionPlan& plan = plans.at(task.app);
     if (!plan.kernel_cached) {
-      stages.push_back(kernel_stage.at(plan.fingerprint));
+      spec.deps.push_back(kernel_stage.at(plan.fingerprint));
     }
     if (!plan.rootfs_cached) {
-      stages.push_back(rootfs_stage.at(plan.rootfs_key));
+      spec.deps.push_back(rootfs_stage.at(plan.rootfs_key));
     }
-    for (size_t stage : stages) {
-      if (std::find(deps.begin(), deps.end(), stage) == deps.end()) {
-        deps.push_back(stage);
+    // Restore tasks run after their key's capture task (boot tasks are
+    // submitted in index order, so the capture task's scheduler id is
+    // already known).
+    if (!task.snapshot_key.empty() && !task.snapshot_capture) {
+      auto owner = capture_owner.find(task.snapshot_key);
+      if (owner != capture_owner.end() && owner->second != task.index) {
+        spec.deps.push_back(sched_ids[owner->second]);
       }
     }
-  };
-
-  // Outcome slots, sized before any Submit so the bodies' pointers into the
-  // vector stay stable. Direct mode: one per boot task; supervised: one per
-  // shard. `sched_ids[slot]` maps a slot back to its scheduler task for
-  // replay-worker attribution.
-  std::vector<TaskOutcome> outcomes;
-  std::vector<size_t> sched_ids;
-  std::atomic<bool> fatal{false};
-
-  if (options.supervised) {
-    // One pinned shard task per worker, the legacy layout: a supervisor owns
-    // its members (and their fiber-bound VMs) for the whole run. The shard
-    // starts once every stage its members need has completed.
-    std::vector<std::vector<BootTask>> shards(workers);
-    for (const BootTask& task : boot_tasks) {
-      shards[task.index % workers].push_back(task);
-    }
-    outcomes.resize(workers);
-    sched_ids.resize(workers);
-    for (size_t w = 0; w < workers; ++w) {
-      WorkStealingScheduler::TaskSpec spec;
-      for (const BootTask& task : shards[w]) {
-        add_stage_deps(task.app, spec.deps);
-      }
-      TaskOutcome* slot = &outcomes[w];
-      spec.body = [&cache, &options, &fatal, slot, shard = std::move(shards[w])] {
-        *slot = RunShardSupervised(cache, shard, options);
-        if (!slot->status.ok()) {
-          fatal.store(true, std::memory_order_relaxed);
-        }
-        return slot->virtual_time;
-      };
-      spec.label = "shard#" + std::to_string(w);
-      spec.home = static_cast<int>(w);
-      spec.pin = static_cast<int>(w);
-      sched_ids[w] = scheduler.Submit(std::move(spec));
-    }
-  } else {
-    outcomes.resize(boot_tasks.size());
-    sched_ids.resize(boot_tasks.size());
-    for (const BootTask& task : boot_tasks) {
-      WorkStealingScheduler::TaskSpec spec;
-      TaskOutcome* slot = &outcomes[task.index];
-      spec.body = [&cache, &options, &fatal, slot, task] {
-        if (fatal.load(std::memory_order_relaxed)) {
-          return Nanos{0};  // Result is discarded on fatal; skip the work.
-        }
-        RunBootTask(cache, task, options, *slot);
-        if (!slot->status.ok()) {
-          fatal.store(true, std::memory_order_relaxed);
-        }
-        return slot->virtual_time;
-      };
-      spec.label = task.app + "#" + std::to_string(task.index);
-      spec.home = static_cast<int>(task.index % workers);
-      add_stage_deps(task.app, spec.deps);
-      // Restore tasks run after their key's capture task (boot tasks are
-      // submitted in index order, so the capture task's scheduler id is
-      // already known).
-      if (!task.snapshot_key.empty() && !task.snapshot_capture) {
-        auto owner = capture_owner.find(task.snapshot_key);
-        if (owner != capture_owner.end() && owner->second != task.index) {
-          spec.deps.push_back(sched_ids[owner->second]);
-        }
-      }
-      sched_ids[task.index] = scheduler.Submit(std::move(spec));
-    }
+    sched_ids[task.index] = scheduler.Submit(std::move(spec));
   }
 
   WorkStealingScheduler::Report report = scheduler.Run();
@@ -725,7 +525,6 @@ Result<FleetBootResult> RunFleetBoot(KernelCache& cache, const FleetBootOptions&
     result.launch_failures += outcome.launch_failures;
     result.deadline_exceeded += outcome.deadline_exceeded;
     result.quarantined += outcome.quarantined;
-    result.breaker_denied += outcome.breaker_denied;
     result.recovered += outcome.recovered;
     result.unretried_failures += outcome.unretried;
     result.virtual_recovery_total += outcome.recovery_total;
@@ -820,9 +619,6 @@ Result<FleetBootResult> RunFleetBoot(KernelCache& cache, const FleetBootOptions&
     result.fleet_resident_peak += peak;
   }
 
-  if (options.breaker != nullptr) {
-    result.breaker_trips = options.breaker->trips() - trips_before;
-  }
   // Fault logs merge in task order, independent of scheduling.
   std::sort(fault_logs.begin(), fault_logs.end());
   result.fault_log.reserve(fault_logs.size());
@@ -860,10 +656,6 @@ Result<FleetBootResult> RunFleetBoot(KernelCache& cache, const FleetBootOptions&
         .Set(static_cast<int64_t>(result.deadline_exceeded));
     options.metrics->GetGauge("fleet.quarantined")
         .Set(static_cast<int64_t>(result.quarantined));
-    options.metrics->GetGauge("fleet.breaker_denied")
-        .Set(static_cast<int64_t>(result.breaker_denied));
-    options.metrics->GetGauge("fleet.breaker_trips")
-        .Set(static_cast<int64_t>(result.breaker_trips));
     options.metrics->GetGauge("fleet.recovered").Set(static_cast<int64_t>(result.recovered));
     options.metrics->GetGauge("fleet.unretried_failures")
         .Set(static_cast<int64_t>(result.unretried_failures));

@@ -3,9 +3,8 @@
 //
 // The fleet is one dependency DAG on util/scheduler's per-worker deques:
 // one kernel-build task per distinct cold config fingerprint, one rootfs
-// task per distinct cold rootfs key, and the launch tasks (one per boot, or
-// one pinned shard per worker in supervised mode) depending on their apps'
-// stages. Cold-cache provisioning stages overlap across VMs instead of
+// task per distinct cold rootfs key, and one launch task per boot depending
+// on its app's stages. Cold-cache provisioning stages overlap across VMs instead of
 // serializing inside the first boot that happens to need them; stage costs
 // are the cache's deterministic ProvisionCostModel figures, charged in
 // virtual time only when the stage is actually cold. Stealing on or off is
@@ -34,7 +33,6 @@
 #include "src/util/fault.h"
 #include "src/util/retry.h"
 #include "src/vmm/admission.h"
-#include "src/vmm/supervisor.h"
 
 namespace lupine::core {
 
@@ -43,27 +41,12 @@ enum class FleetSchedule {
   // Stealing off: every task runs on the worker whose deque it entered —
   // its home (index mod W) when ready at submission, else the worker that
   // completed its last dependency, so a boot whose last stage completes on
-  // worker w runs on w (pinned tasks always enter their pin's deque). The
-  // static-shard baseline the benches compare against.
+  // worker w runs on w. The static-shard baseline the benches compare
+  // against.
   kStaticShards,
-  // Stealing on (default): an idle worker takes the oldest unpinned task
-  // from another worker's deque.
+  // Stealing on (default): an idle worker takes the oldest task from
+  // another worker's deque.
   kPipelined,
-};
-
-// Per-stage deadlines over the provisioning+boot pipeline. Zero = unlimited.
-// build/rootfs are host-wall (the cache's provisioning spans); boot, init
-// and workload are virtual time on the VM's own clock. A stage that crosses
-// its deadline is treated as the monitor killing the VM at that instant:
-// the attempt fails with kTimedOut (retryable), and the shard is charged
-// the deadline, not the stall (a kBootStall fault inflates the decompress
-// phase by 60 virtual seconds — the deadline caps the damage).
-struct StageDeadlines {
-  Nanos build = 0;     // Kernel build (host wall, fresh builds only).
-  Nanos rootfs = 0;    // Rootfs load (host wall, fresh builds only).
-  Nanos boot = 0;      // Monitor start -> rootfs mounted (virtual).
-  Nanos init = 0;      // init-exec (virtual).
-  Nanos workload = 0;  // app-main, run_workload mode only (virtual).
 };
 
 struct FleetBootOptions {
@@ -71,47 +54,42 @@ struct FleetBootOptions {
   size_t workers = 1;
   size_t rounds = 1;              // Each round boots every app once.
   Bytes memory = 512 * kMiB;
-  // false: Boot() + StartInit only — no fiber ever runs. true: run each
-  // guest to quiescence (batch jobs
-  // must exit 0; servers parking in accept count as success).
-  bool run_workload = false;
-  // Drive each worker's shard through its own vmm::Supervisor instead of
-  // booting VMs directly (demonstrates worker-thread confinement).
-  bool supervised = false;
   // Optional, non-owning metric sink: per-boot `boot.to_init_ns{app}` /
   // `boot.phase_ns{phase}` / `vm.resident_peak_bytes` histograms, per-worker
   // `fleet.worker_resident_peak_bytes{worker}` gauges, fleet rollup gauges,
   // and — at the end of the run — the cache's PublishMetrics snapshot. Must
   // outlive the call; shared safely by all workers.
   telemetry::MetricRegistry* metrics = nullptr;
-  // Optional, non-owning flight-recorder sink. Direct-mode tasks emit
-  // structured events (task-start, admit/reject, retry, deadline,
-  // quarantine-denied, breaker-denied, launch-failure, unretried,
-  // task-done) stamped with task-relative virtual offsets — a pure
-  // function of (plan, seed, task index), so Journal::ExportJsonl() is
-  // byte-identical across 1/2/4/8 workers like the fault logs. Replay
-  // steal events land under source "sched" as schedule-scoped events
-  // (full export / Perfetto only). Supervised shards forward the sink to
-  // their per-worker Supervisor. Must outlive the call; thread-safe.
+  // Optional, non-owning flight-recorder sink. Boot tasks emit structured
+  // events (task-start, admit/reject, retry, deadline, quarantine-denied,
+  // launch-failure, unretried, task-done) stamped with task-relative
+  // virtual offsets — a pure function of (plan, seed, task index), so
+  // Journal::ExportJsonl() is byte-identical across 1/2/4/8 workers like
+  // the fault logs. Replay steal events land under source "sched" as
+  // schedule-scoped events (full export / Perfetto only). Must outlive the
+  // call; thread-safe.
   telemetry::Journal* journal = nullptr;
-  // Optional, non-owning admission controller: every direct-mode launch
-  // holds a Grant for the VM's lifetime, so the whole fleet stays under the
-  // controller's host budget (rejected launches count as failures).
-  // Supervised shards ignore it: a supervisor restarts members on its own
-  // schedule, so its memory is accounted at member granularity elsewhere.
+  // Optional, non-owning admission controller: every launch holds a Grant
+  // for the VM's lifetime, so the whole fleet stays under the controller's
+  // host budget (rejected launches count as failures).
   vmm::FleetAdmissionController* admission = nullptr;
   // Smallest RAM a degraded launch may be granted (0 = not degradable).
   Bytes min_memory = 0;
 
   // --- Resilience -----------------------------------------------------------
-  // Per-task retry schedule: a failed attempt (boot fault, panic, deadline
-  // kill) backs off deterministically and tries a fresh VM. The default
-  // max_attempts=1 keeps the historical fail-once behavior. Each task forks
-  // its jitter stream off (retry.seed, task index), so schedules are
+  // Per-task retry schedule: a failed attempt (boot or restore fault,
+  // deadline kill) backs off deterministically and tries a fresh VM. The
+  // default max_attempts=1 keeps the historical fail-once behavior. Each task
+  // forks its jitter stream off (retry.seed, task index), so schedules are
   // identical however the fleet is sharded.
   RetryPolicy retry = {.max_attempts = 1};
-  // Stage deadlines (see above). All zero = no deadline enforcement.
-  StageDeadlines deadlines;
+  // Virtual-time limit on monitor start -> rootfs mounted, on the VM's own
+  // clock (0 = unlimited). A boot that crosses it is treated as the monitor
+  // killing the VM at that instant: the attempt fails with kTimedOut
+  // (retryable), and the task is charged the deadline, not the stall (a
+  // kBootStall fault inflates the decompress phase by 60 virtual seconds —
+  // the deadline caps the damage). Restores have no boot and no deadline.
+  Nanos boot_deadline = 0;
   // Optional fault schedule. Each boot task (round, app) owns a private
   // FaultInjector forked deterministically off plan.seed and the task index;
   // the injector survives the task's retries (a restarted VM continues the
@@ -119,9 +97,8 @@ struct FleetBootOptions {
   // in task order — byte-identical across 1/2/4/8 workers. Must outlive the
   // call.
   const FaultPlan* fault_plan = nullptr;
-  // Optional, non-owning snapshot store (direct mode only; supervised shards
-  // ignore it — a supervisor owns its members' lifecycles). With a store,
-  // the fleet plans snapshot use up front: the first task per snapshot key
+  // Optional, non-owning snapshot store. With a store, the fleet plans
+  // snapshot use up front: the first task per snapshot key
   // ({kernel fingerprint, rootfs key, RAM}) cold-boots and captures; every
   // later same-key task depends on that capture task in the schedule and
   // launches by restore instead of Boot(), so restore-vs-capture is a
@@ -131,18 +108,8 @@ struct FleetBootOptions {
   // failures feed the store's drop-once-then-poison quarantine and the task
   // retries with a cold boot. Must outlive the call; thread-safe.
   SnapshotCache* snapshots = nullptr;
-  // Optional, non-owning fleet circuit breaker shared by every worker. Each
-  // launch is Allow()-gated and its outcome Record()ed; in fail-fast mode a
-  // tripped breaker denies launches (counted as failures + breaker_denied).
-  CircuitBreaker* breaker = nullptr;
-  // Supervised-mode restart policy (backoff base/cap, crash-loop window) —
-  // the supervisor's knobs are fleet configuration, not constants.
-  vmm::SupervisorPolicy supervisor_policy;
 
-  // Worker scheduling policy (see FleetSchedule). Supervised mode always
-  // runs one pinned shard task per worker (a supervisor owns its members for
-  // their whole lifetime), behind the provisioning stages of its members;
-  // the schedule then only decides whether those stages can be stolen.
+  // Worker scheduling policy (see FleetSchedule).
   FleetSchedule schedule = FleetSchedule::kPipelined;
 };
 
@@ -184,8 +151,6 @@ struct FleetBootResult {
   size_t launch_failures = 0;    // Individual failed attempts (pre-retry).
   size_t deadline_exceeded = 0;  // Attempts killed by a stage deadline.
   size_t quarantined = 0;        // Launches denied by artifact quarantine.
-  size_t breaker_denied = 0;     // Launches denied by a tripped breaker.
-  size_t breaker_trips = 0;      // Breaker trip transitions during the run.
   size_t recovered = 0;          // Tasks that failed at least once but completed.
   // Tasks that failed without a single retry because the error was
   // classified permanent (the observable for intentional fail-fast paths).
@@ -216,7 +181,7 @@ struct FleetBootResult {
 
 // Boots `rounds` x `apps` VMs from `cache` artifacts on `workers` scheduler
 // threads. Fails only when an artifact cannot be built at all; individual
-// boot/workload failures are counted in the result.
+// boot failures are counted in the result.
 Result<FleetBootResult> RunFleetBoot(KernelCache& cache, const FleetBootOptions& options);
 
 }  // namespace lupine::core

@@ -126,7 +126,7 @@ bool Resolver::MemoizationEnabled() {
 
 Result<ResolveReport> Resolver::Enable(Config& config, const std::string& option) const {
   OptionId root = OptionInterner::Global().Intern(option);
-  if (!memoize_ || !MemoizationEnabled()) {
+  if (!MemoizationEnabled()) {
     return EnableWalk(config, root);
   }
   std::shared_ptr<const Closure> closure = GetClosure(db_, root);

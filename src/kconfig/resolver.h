@@ -33,8 +33,7 @@ struct ResolveReport {
 
 class Resolver {
  public:
-  explicit Resolver(const OptionDb& db, bool memoize = true)
-      : db_(db), memoize_(memoize) {}
+  explicit Resolver(const OptionDb& db) : db_(db) {}
 
   // Enables `option` in `config` together with its dependency closure.
   Result<ResolveReport> Enable(Config& config, const std::string& option) const;
@@ -44,7 +43,7 @@ class Resolver {
   Status Validate(const Config& config) const;
 
   // Process-wide kill switch for closure memoization (benchmarks and
-  // equivalence tests); instance and global flags must both be on.
+  // equivalence tests).
   static void SetMemoizationEnabled(bool enabled);
   static bool MemoizationEnabled();
 
@@ -52,7 +51,6 @@ class Resolver {
   Result<ResolveReport> EnableWalk(Config& config, OptionId root) const;
 
   const OptionDb& db_;
-  bool memoize_;
 };
 
 }  // namespace lupine::kconfig

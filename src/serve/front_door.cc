@@ -134,18 +134,6 @@ Result<ServeResult> RunServing(core::KernelCache& cache, core::SnapshotCache& sn
       s.restore = (*restored)->boot_report().to_init;
     }
     s.service = options.default_service_ns;
-    if (options.run_workloads) {
-      // Serial, fiber-running measurement of one service execution.
-      auto probe = s.artifact->Launch(options.memory);
-      if (Status st = probe->Boot(); st.ok()) {
-        const Nanos before = probe->kernel().clock().now();
-        (void)probe->RunToCompletion();
-        const Nanos ran = probe->kernel().clock().now() - before;
-        if (ran > 0) {
-          s.service = ran;
-        }
-      }
-    }
     if (options.prebake_snapshots) {
       snapshots.Put(captured.take());
       s.snapshot_ready = true;

@@ -61,9 +61,6 @@ struct ServeOptions {
   size_t refill_concurrency = 2;     // Concurrent restores per app, off-path.
   size_t workers = 1;                // Host-execution worker threads.
   bool execute = true;               // Run phase 3 (real subsystems).
-  // Run each app's workload once in the prelude to measure service time
-  // (fibers, serial). false: default_service_ns.
-  bool run_workloads = false;
   Nanos default_service_ns = Millis(3);
   Nanos warm_dispatch_ns = Micros(50);  // Handoff cost for a parked guest.
   // Capture every app's snapshot in the prelude (store it in `snapshots`),

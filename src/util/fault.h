@@ -71,7 +71,7 @@ struct FaultRule {
   // Restrict the rule to one application: FaultPlan::ForApp drops rules
   // whose app is set and differs (the fleet driver forks per-task plans, so
   // one rule can skew a single app's boots). Empty = every app.
-  std::string app;
+  std::string app = {};
   // kBootStall only: custom virtual stall instead of kBootStallPenalty.
   // 0 = the default penalty. Lets a plan dial in, say, a 10x boot cost for
   // one app without wedging it for a full minute.

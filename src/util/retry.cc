@@ -43,8 +43,7 @@ bool IsRetryableError(const Status& status) {
 }
 
 Retrier::Retrier(const RetryPolicy& policy, uint64_t seed_offset)
-    : policy_(policy), seed_(policy.seed ^ ((seed_offset + 1) * 0x9E3779B97F4A7C15ull)),
-      jitter_(seed_) {}
+    : policy_(policy), jitter_(policy.seed ^ ((seed_offset + 1) * 0x9E3779B97F4A7C15ull)) {}
 
 Retrier::Decision Retrier::OnFailure(const Status& status) {
   ++failures_;
@@ -57,21 +56,9 @@ Retrier::Decision Retrier::OnFailure(const Status& status) {
     decision.reason = "attempts-exhausted";
     return decision;
   }
-  const Nanos delay = BackoffDelay(policy_.backoff, failures_, jitter_, &decision.capped);
-  if (policy_.total_budget > 0 && backoff_total_ + delay > policy_.total_budget) {
-    decision.reason = "budget-exhausted";
-    return decision;
-  }
-  backoff_total_ += delay;
   decision.retry = true;
-  decision.delay = delay;
+  decision.delay = BackoffDelay(policy_.backoff, failures_, jitter_);
   return decision;
-}
-
-void Retrier::Reset() {
-  failures_ = 0;
-  backoff_total_ = 0;
-  jitter_ = Prng(seed_);  // Replay: the same task sees the same schedule.
 }
 
 Status DeadlineGuard::Check() const {
@@ -85,74 +72,6 @@ Status DeadlineGuard::CheckElapsed(const std::string& stage, Nanos deadline, Nan
   return Status(Err::kTimedOut, "stage '" + stage + "' exceeded its " +
                                     FormatDuration(deadline) + " deadline (ran " +
                                     FormatDuration(elapsed) + ")");
-}
-
-CircuitBreaker::CircuitBreaker(BreakerPolicy policy) : policy_(policy) {}
-
-bool CircuitBreaker::Allow() {
-  std::lock_guard lock(mu_);
-  if (!tripped_ || !policy_.fail_fast) {
-    return true;
-  }
-  ++denied_;
-  ++denied_since_probe_;
-  if (policy_.probe_after > 0 && denied_since_probe_ >= policy_.probe_after) {
-    // Half-open: let one launch through to test the waters. Its Record()
-    // verdict decides whether the breaker closes.
-    denied_since_probe_ = 0;
-    --denied_;  // The probe is allowed, not denied.
-    return true;
-  }
-  return false;
-}
-
-void CircuitBreaker::Record(bool success) {
-  std::lock_guard lock(mu_);
-  if (success && tripped_) {
-    // The probe (or a straggler) succeeded: close and forget the bad window
-    // so one stale burst of failures cannot re-trip instantly.
-    tripped_ = false;
-    window_.clear();
-    window_failures_ = 0;
-    denied_since_probe_ = 0;
-    return;
-  }
-  window_.push_back(!success);
-  window_failures_ += success ? 0 : 1;
-  while (window_.size() > policy_.window) {
-    window_failures_ -= window_.front() ? 1 : 0;
-    window_.pop_front();
-  }
-  if (!tripped_ && window_.size() >= policy_.min_samples &&
-      static_cast<double>(window_failures_) >=
-          policy_.trip_ratio * static_cast<double>(window_.size())) {
-    tripped_ = true;
-    ++trips_;
-    denied_since_probe_ = 0;
-  }
-}
-
-bool CircuitBreaker::tripped() const {
-  std::lock_guard lock(mu_);
-  return tripped_;
-}
-
-size_t CircuitBreaker::trips() const {
-  std::lock_guard lock(mu_);
-  return trips_;
-}
-
-size_t CircuitBreaker::denied() const {
-  std::lock_guard lock(mu_);
-  return denied_;
-}
-
-double CircuitBreaker::failure_ratio() const {
-  std::lock_guard lock(mu_);
-  if (window_.empty()) {
-    return 0.0;
-  }
-  return static_cast<double>(window_failures_) / static_cast<double>(window_.size());
 }
 
 Quarantine::Gate Quarantine::Check(const std::string& key, Nanos now) {

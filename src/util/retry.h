@@ -1,22 +1,18 @@
-// Deterministic retry, deadline and circuit-breaker primitives.
+// Deterministic retry, deadline and quarantine primitives.
 //
 // The paper's posture (Section 2.2) is that a Lupine guest cannot save
 // itself — the application runs in ring 0, so every recovery decision is the
 // monitor's. This header is the monitor-side toolbox those decisions share:
 //
-//   * RetryPolicy / Retrier — exponential backoff with seeded jitter,
-//     attempt and virtual-time budgets, and a retryable-error classification
-//     over Status. The fleet boot driver, the artifact caches and the
-//     vmm::Supervisor all price their restart schedules through the same
-//     BackoffDelay formula, so one policy means one timeline everywhere.
+//   * RetryPolicy / Retrier — exponential backoff with seeded jitter, an
+//     attempt budget, and a retryable-error classification over Status.
+//     The fleet boot driver, the artifact caches and the vmm::Supervisor
+//     all price their restart schedules through the same BackoffDelay
+//     formula, so one policy means one timeline everywhere.
 //   * DeadlineGuard — a per-stage virtual deadline. A stage that wedges
 //     (e.g. a kBootStall fault inflating the decompress phase) does not hang
 //     the shard: the guard reports the deadline the monitor would have
 //     killed the VM at, and the caller retries.
-//   * CircuitBreaker — sliding-window failure-rate tracking across a fleet.
-//     In fail-fast mode a tripped breaker denies further launches (with a
-//     deterministic half-open probe cadence); in best-effort mode it only
-//     counts trips so the fleet keeps limping.
 //   * Quarantine — per-key drop-once-then-poison containment for cached
 //     artifacts whose launches (or restores) keep failing, shared by the
 //     kernel and snapshot caches and the serving simulation.
@@ -27,9 +23,7 @@
 #define SRC_UTIL_RETRY_H_
 
 #include <cstdint>
-#include <deque>
 #include <map>
-#include <mutex>
 #include <string>
 
 #include "src/util/prng.h"
@@ -60,9 +54,6 @@ struct RetryPolicy {
   // Attempts in total, including the first; 1 disables retries.
   int max_attempts = 3;
   BackoffSpec backoff = {};
-  // Ceiling on the summed backoff delay per task (virtual time); a retry
-  // whose delay would cross it is abandoned instead. 0 = unlimited.
-  Nanos total_budget = 0;
   uint64_t seed = 0x5EED;
 };
 
@@ -82,24 +73,19 @@ class Retrier {
 
   struct Decision {
     bool retry = false;
-    Nanos delay = 0;          // Backoff before the next attempt.
-    bool capped = false;      // The exponential hit the policy ceiling.
-    // Why not: "retryable" when retry is true; otherwise "permanent-error",
-    // "attempts-exhausted" or "budget-exhausted".
+    Nanos delay = 0;  // Backoff before the next attempt.
+    // Why not: "retryable" when retry is true; otherwise "permanent-error"
+    // or "attempts-exhausted".
     const char* reason = "retryable";
   };
   Decision OnFailure(const Status& status);
 
   int failures() const { return failures_; }
-  Nanos backoff_total() const { return backoff_total_; }
-  void Reset();
 
  private:
   RetryPolicy policy_;
-  uint64_t seed_;  // policy.seed folded with the task's seed_offset.
-  Prng jitter_;
+  Prng jitter_;  // Seeded by policy.seed folded with the task's seed_offset.
   int failures_ = 0;
-  Nanos backoff_total_ = 0;
 };
 
 // Watches one named stage against a virtual deadline. Construct at stage
@@ -119,8 +105,8 @@ class DeadlineGuard {
   Nanos charged() const { return expired() ? deadline_ : elapsed(); }
   Status Check() const;  // Ok, or kTimedOut naming the stage and overrun.
 
-  // Post-hoc form for stages whose duration arrives as a number (host-wall
-  // provisioning spans): Ok, or kTimedOut when elapsed > deadline (> 0).
+  // Post-hoc form for stages whose duration arrives as a number (a boot
+  // report's phase sum): Ok, or kTimedOut when elapsed > deadline (> 0).
   static Status CheckElapsed(const std::string& stage, Nanos deadline, Nanos elapsed);
 
  private:
@@ -128,50 +114,6 @@ class DeadlineGuard {
   std::string stage_;
   Nanos deadline_;
   Nanos start_;
-};
-
-struct BreakerPolicy {
-  size_t window = 32;        // Launch outcomes remembered.
-  size_t min_samples = 8;    // No verdict before this many outcomes.
-  double trip_ratio = 0.5;   // Failure fraction that trips the breaker.
-  // true: a tripped breaker denies launches (fail fast); false: best-effort —
-  // trips are counted but every launch is still allowed.
-  bool fail_fast = false;
-  // Fail-fast half-open cadence: after this many consecutive denials, one
-  // probe launch is allowed through; its success closes the breaker again.
-  // 0 = a tripped breaker stays open forever.
-  size_t probe_after = 16;
-};
-
-// Fleet-wide failure-rate tracker. Thread-safe: shards on every worker
-// Record() their launch outcomes and Allow()-gate their next launch against
-// the shared window. Counts (trips, denials) are exact; in fail-fast mode
-// the set of denied launches depends on cross-worker interleaving, which is
-// the nature of a shared breaker — single-worker runs are deterministic.
-class CircuitBreaker {
- public:
-  explicit CircuitBreaker(BreakerPolicy policy = {});
-
-  // Gate one launch. False = denied (tripped, fail-fast, not a probe turn).
-  bool Allow();
-  // Report a launch outcome. A success while tripped closes the breaker and
-  // clears the window (the half-open probe proved recovery).
-  void Record(bool success);
-
-  bool tripped() const;
-  size_t trips() const;
-  size_t denied() const;
-  double failure_ratio() const;  // Over the current window; 0 when empty.
-
- private:
-  BreakerPolicy policy_;
-  mutable std::mutex mu_;
-  std::deque<bool> window_;  // true = failure.
-  size_t window_failures_ = 0;
-  bool tripped_ = false;
-  size_t trips_ = 0;
-  size_t denied_ = 0;
-  size_t denied_since_probe_ = 0;
 };
 
 // How a cache contains a key whose launches keep failing. A cached blob

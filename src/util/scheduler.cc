@@ -11,11 +11,11 @@ namespace lupine {
 namespace {
 
 // Pops a runnable task for `w` under the shared deque policy: own deque
-// back-first, then (stealing on) the front-most unpinned task of the first
-// victim that has one, scanning (w+1) % W onwards. Returns the task id or
-// SIZE_MAX; sets *stolen when the task came from another deque.
-size_t TakeTask(std::vector<std::deque<size_t>>& deques, const std::vector<int>& pins,
-                size_t w, bool stealing, bool* stolen) {
+// back-first, then (stealing on) the front-most task of the first non-empty
+// victim, scanning (w+1) % W onwards. Returns the task id or SIZE_MAX; sets
+// *stolen when the task came from another deque.
+size_t TakeTask(std::vector<std::deque<size_t>>& deques, size_t w, bool stealing,
+                bool* stolen) {
   *stolen = false;
   if (!deques[w].empty()) {
     size_t id = deques[w].back();
@@ -28,13 +28,11 @@ size_t TakeTask(std::vector<std::deque<size_t>>& deques, const std::vector<int>&
   const size_t workers = deques.size();
   for (size_t step = 1; step < workers; ++step) {
     std::deque<size_t>& victim = deques[(w + step) % workers];
-    for (auto it = victim.begin(); it != victim.end(); ++it) {
-      if (pins[*it] < 0) {
-        size_t id = *it;
-        victim.erase(it);
-        *stolen = true;
-        return id;
-      }
+    if (!victim.empty()) {
+      size_t id = victim.front();
+      victim.pop_front();
+      *stolen = true;
+      return id;
     }
   }
   return SIZE_MAX;
@@ -61,16 +59,13 @@ WorkStealingScheduler::Report WorkStealingScheduler::Run() {
   // The deque policy here mirrors the replay so wall-clock overlap looks
   // like the reported schedule, but nothing measured here is reported.
   std::vector<Nanos> costs(total, 0);
-  size_t host_steals = 0;
   {
     std::mutex mu;
     std::condition_variable cv;
     std::vector<std::deque<size_t>> deques(workers);
-    std::vector<int> pins(total);
     std::vector<size_t> pending(total, 0);
     std::vector<std::vector<size_t>> children(total);
     for (size_t i = 0; i < total; ++i) {
-      pins[i] = specs_[i].pin;
       pending[i] = specs_[i].deps.size();
       for (size_t dep : specs_[i].deps) {
         children[dep].push_back(i);
@@ -79,8 +74,7 @@ WorkStealingScheduler::Report WorkStealingScheduler::Run() {
     // Descending push: the owner pops back-first, i.e. in ascending order.
     for (size_t i = total; i-- > 0;) {
       if (pending[i] == 0) {
-        const int target = specs_[i].pin >= 0 ? specs_[i].pin : specs_[i].home;
-        deques[static_cast<size_t>(target) % workers].push_back(i);
+        deques[static_cast<size_t>(specs_[i].home) % workers].push_back(i);
       }
     }
     size_t completed = 0;
@@ -88,8 +82,8 @@ WorkStealingScheduler::Report WorkStealingScheduler::Run() {
     auto worker_loop = [&](size_t w) {
       std::unique_lock lock(mu);
       for (;;) {
-        bool stolen = false;
-        size_t id = TakeTask(deques, pins, w, options_.stealing, &stolen);
+        bool stolen = false;  // Steals are counted by the replay, not here.
+        size_t id = TakeTask(deques, w, options_.stealing, &stolen);
         if (id == SIZE_MAX) {
           if (completed == total) {
             return;
@@ -97,16 +91,13 @@ WorkStealingScheduler::Report WorkStealingScheduler::Run() {
           cv.wait(lock);
           continue;
         }
-        if (stolen) {
-          ++host_steals;
-        }
         lock.unlock();
         const Nanos cost = specs_[id].body ? specs_[id].body() : 0;
         lock.lock();
         costs[id] = cost;
         ++completed;
-        // Ready children land on this worker's deque (locality) unless
-        // pinned elsewhere; descending id so the owner pops ascending.
+        // Ready children land on this worker's deque (locality); descending
+        // id so the owner pops ascending.
         std::vector<size_t> ready;
         for (size_t child : children[id]) {
           if (--pending[child] == 0) {
@@ -115,9 +106,7 @@ WorkStealingScheduler::Report WorkStealingScheduler::Run() {
         }
         std::sort(ready.begin(), ready.end(), std::greater<size_t>());
         for (size_t child : ready) {
-          const int target = specs_[child].pin >= 0 ? specs_[child].pin
-                                                    : static_cast<int>(w);
-          deques[static_cast<size_t>(target) % workers].push_back(child);
+          deques[w].push_back(child);
         }
         cv.notify_all();
       }
@@ -136,12 +125,9 @@ WorkStealingScheduler::Report WorkStealingScheduler::Run() {
   // --- Deterministic replay over the recorded costs. ----------------------
   std::vector<SimTask> sim(total);
   for (size_t i = 0; i < total; ++i) {
-    sim[i] = {specs_[i].home, specs_[i].pin, costs[i],
-              specs_[i].deps, specs_[i].label, specs_[i].release};
+    sim[i] = {specs_[i].home, costs[i], specs_[i].deps, specs_[i].label, specs_[i].release};
   }
-  Report report = Simulate(options_, sim);
-  report.host_steals = host_steals;
-  return report;
+  return Simulate(options_, sim);
 }
 
 WorkStealingScheduler::Report WorkStealingScheduler::Simulate(
@@ -159,11 +145,9 @@ WorkStealingScheduler::Report WorkStealingScheduler::Simulate(
   report.tasks.resize(total);
 
   std::vector<std::deque<size_t>> deques(workers);
-  std::vector<int> pins(total);
   std::vector<size_t> pending(total, 0);
   std::vector<std::vector<size_t>> children(total);
   for (size_t i = 0; i < total; ++i) {
-    pins[i] = tasks[i].pin;
     pending[i] = tasks[i].deps.size();
     for (size_t dep : tasks[i].deps) {
       children[dep].push_back(i);
@@ -192,8 +176,7 @@ WorkStealingScheduler::Report WorkStealingScheduler::Simulate(
     while (!releases.empty() && releases.top().at <= now) {
       const size_t id = releases.top().task;
       releases.pop();
-      const size_t target =
-          static_cast<size_t>(tasks[id].pin >= 0 ? tasks[id].pin : tasks[id].home) % workers;
+      const size_t target = static_cast<size_t>(tasks[id].home) % workers;
       deques[target].push_back(id);
       note_depth(target);
     }
@@ -205,8 +188,7 @@ WorkStealingScheduler::Report WorkStealingScheduler::Simulate(
         releases.push({tasks[i].release, i});
         continue;
       }
-      const size_t target =
-          static_cast<size_t>(tasks[i].pin >= 0 ? tasks[i].pin : tasks[i].home) % workers;
+      const size_t target = static_cast<size_t>(tasks[i].home) % workers;
       deques[target].push_back(i);
       note_depth(target);
     }
@@ -236,7 +218,7 @@ WorkStealingScheduler::Report WorkStealingScheduler::Simulate(
           continue;
         }
         bool stolen = false;
-        const size_t id = TakeTask(deques, pins, w, options.stealing, &stolen);
+        const size_t id = TakeTask(deques, w, options.stealing, &stolen);
         if (id == SIZE_MAX) {
           continue;
         }
@@ -280,11 +262,8 @@ WorkStealingScheduler::Report WorkStealingScheduler::Simulate(
         releases.push({tasks[child].release, child});
         continue;
       }
-      const size_t target = static_cast<size_t>(
-          tasks[child].pin >= 0 ? tasks[child].pin : static_cast<int>(event.worker)) %
-          workers;
-      deques[target].push_back(child);
-      note_depth(target);
+      deques[event.worker].push_back(child);
+      note_depth(event.worker);
     }
     drain_releases(event.time);
     dispatch_idle(event.time);

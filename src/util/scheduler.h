@@ -5,7 +5,7 @@
 // boot-stall fault) wedged its shard while sibling workers idled. This
 // scheduler replaces the shards with per-worker deques: a worker pops its
 // own deque LIFO (back), and an idle worker steals FIFO (front) from the
-// first victim that has an unpinned task. Tasks form a DAG — a task may
+// first victim whose deque is not empty. Tasks form a DAG — a task may
 // declare dependencies on earlier-submitted tasks, which is how the fleet
 // splits the per-VM chain (build -> rootfs -> boot) into independently
 // schedulable stages that overlap across VMs.
@@ -27,10 +27,8 @@
 //     order — at one worker the schedule is exactly the legacy serial
 //     order;
 //   * a completed task's newly-ready children are pushed to the completing
-//     worker's deque (locality), unless pinned, in which case they go to
-//     the pinned worker's deque;
-//   * stealing takes the front-most unpinned task; pinned tasks only ever
-//     run on their pinned worker.
+//     worker's deque (locality);
+//   * stealing takes the front-most task of the first non-empty victim.
 #ifndef SRC_UTIL_SCHEDULER_H_
 #define SRC_UTIL_SCHEDULER_H_
 
@@ -55,11 +53,10 @@ class WorkStealingScheduler {
     // Host-side work. Runs exactly once, entirely on one worker thread
     // (fiber-safe), and returns the task's virtual cost. Must not throw.
     std::function<Nanos()> body;
-    std::string label;  // For per-task spans / trace export.
-    int home = 0;       // Deque the task is initially pushed to.
-    int pin = -1;       // >= 0: only this worker may ever run the task.
+    std::string label = {};  // For per-task spans / trace export.
+    int home = 0;            // Deque the task is initially pushed to.
     // Earlier-submitted task ids that must complete first.
-    std::vector<size_t> deps;
+    std::vector<size_t> deps = {};
     // Virtual release (arrival) time: the replay will not dispatch the task
     // before this instant even when a worker is idle — how a request-driven
     // serving layer injects open-loop arrivals into the schedule. Host
@@ -89,24 +86,20 @@ class WorkStealingScheduler {
     std::vector<size_t> worker_queue_peak; // Max deque depth per worker.
     size_t steals = 0;                     // Replay-level migrations.
     std::vector<TaskRecord> tasks;         // Indexed by task id.
-    size_t host_steals = 0;  // Host execution's count — informational only,
-                             // depends on thread timing; never report it as
-                             // a simulation figure.
   };
 
   // Executes every body on `workers` host threads under the deque policy,
   // then replays the recorded costs deterministically. The returned report
-  // is entirely replay-derived (except host_steals).
+  // is entirely replay-derived.
   Report Run();
 
   // The deterministic virtual-time replay, exposed for unit tests and for
   // schedules whose costs are known up front.
   struct SimTask {
     int home = 0;
-    int pin = -1;
     Nanos cost = 0;
-    std::vector<size_t> deps;
-    std::string label;
+    std::vector<size_t> deps = {};
+    std::string label = {};
     Nanos release = 0;  // Earliest virtual dispatch instant (see TaskSpec).
   };
   static Report Simulate(const Options& options, const std::vector<SimTask>& tasks);

@@ -14,12 +14,10 @@
 // fault plan + seed reproduces its incident timeline byte for byte.
 //
 // Threading: a Supervisor is instance-confined. It owns no globals and is
-// safe to construct, drive and destroy entirely on one scheduler worker
-// thread — core::RunFleetBoot runs one Supervisor per pinned shard task
-// this way. What is
-// NOT supported is sharing one Supervisor (or its VMs) across threads:
-// guest fibers are thread-local, so every VM must run its whole life on the
-// thread that called Run().
+// safe to construct, drive and destroy entirely on one thread, such as one
+// scheduler worker's. What is NOT supported is sharing one Supervisor (or
+// its VMs) across threads: guest fibers are thread-local, so every VM must
+// run its whole life on the thread that called Run().
 #ifndef SRC_VMM_SUPERVISOR_H_
 #define SRC_VMM_SUPERVISOR_H_
 

@@ -1,6 +1,6 @@
-// Parallel fleet boot. The FleetBootStormTest suite is Boot()-only — no
-// fiber ever runs. FleetBootTest exercises the workload/supervised modes,
-// which do run guest fibers (thread-local, one worker per VM).
+// Parallel fleet boot: every test is Boot()-only — no guest fiber ever
+// runs. FleetBootStormTest covers cold and warm storms and the virtual
+// timeline; FleetBootTest covers admission and artifact failures.
 #include "src/core/fleet_boot.h"
 
 #include <gtest/gtest.h>
@@ -92,29 +92,6 @@ TEST(FleetBootStormTest, VirtualTimelineIsDeterministic) {
   ASSERT_TRUE(second.ok());
   EXPECT_EQ(first->virtual_makespan, second->virtual_makespan);
   EXPECT_EQ(first->worker_virtual, second->worker_virtual);
-}
-
-TEST(FleetBootTest, WorkloadModeRunsGuestsAndParksServers) {
-  FleetBootOptions options;
-  options.apps = {"hello-world", "redis"};  // One batch job, one server.
-  options.workers = 2;
-  options.run_workload = true;
-  auto result = RunFleetBoot(Cache(), options);
-  ASSERT_TRUE(result.ok()) << result.status().ToString();
-  EXPECT_EQ(result->boots, 2u);
-  EXPECT_EQ(result->failures, 0u);  // The parked server is not a failure.
-}
-
-TEST(FleetBootTest, SupervisedModeDrivesEachShardThroughASupervisor) {
-  FleetBootOptions options;
-  options.workers = 4;
-  options.supervised = true;
-  auto result = RunFleetBoot(Cache(), options);
-  ASSERT_TRUE(result.ok()) << result.status().ToString();
-  EXPECT_EQ(result->failures, 0u);
-  EXPECT_EQ(result->boots, kconfig::Top20AppNames().size());
-  EXPECT_GT(result->virtual_makespan, 0);
-  EXPECT_EQ(result->worker_virtual.size(), 4u);
 }
 
 TEST(FleetBootTest, AdmissionControllerKeepsFleetUnderBudget) {

@@ -1,7 +1,5 @@
-// Fleet resilience: retries, stage deadlines, quarantine and the circuit
-// breaker composed over RunFleetBoot. The FleetResilienceStormTest suite is
-// Boot()-only — no fiber ever runs. FleetResilienceTest exercises
-// workload/supervised modes, which do run guest fibers.
+// Fleet resilience: retries, the boot deadline and quarantine composed over
+// RunFleetBoot. Boot()-only — no guest fiber ever runs.
 #include <gtest/gtest.h>
 
 #include <vector>
@@ -113,7 +111,7 @@ TEST(FleetResilienceStormTest, BootDeadlineKillsStalledBootAndRetries) {
   FleetBootOptions options;
   options.apps = {"hello-world"};
   options.retry = FastRetry(2);
-  options.deadlines.boot = Seconds(1);
+  options.boot_deadline = Seconds(1);
   options.fault_plan = &plan;
   auto result = RunFleetBoot(Cache(), options);
   ASSERT_TRUE(result.ok());
@@ -131,7 +129,7 @@ TEST(FleetResilienceStormTest, WithoutDeadlineTheStallIsPaidInFull) {
   FaultPlan plan = FaultPlan{}.FireAlways(FaultSite::kBootStall, /*max_fires=*/1);
   FleetBootOptions options;
   options.apps = {"hello-world"};
-  options.fault_plan = &plan;  // Default retry (1 attempt), no deadlines.
+  options.fault_plan = &plan;  // Default retry (1 attempt), no deadline.
   auto result = RunFleetBoot(Cache(), options);
   ASSERT_TRUE(result.ok());
   EXPECT_EQ(result->boots, 1u);  // The stalled boot still completes...
@@ -163,32 +161,6 @@ TEST(FleetResilienceStormTest, QuarantineCapsPoisonedRootfsBlastRadius) {
   EXPECT_EQ(stats.quarantine_denials, 2u);
 }
 
-TEST(FleetResilienceStormTest, FailFastBreakerShedsLoadAfterTrip) {
-  FaultPlan plan = FaultPlan{}.FireAlways(FaultSite::kBootInitcall);
-  BreakerPolicy breaker_policy;
-  breaker_policy.window = 8;
-  breaker_policy.min_samples = 4;
-  breaker_policy.trip_ratio = 1.0;
-  breaker_policy.fail_fast = true;
-  breaker_policy.probe_after = 0;  // Stays open: every later launch denied.
-  CircuitBreaker breaker(breaker_policy);
-
-  FleetBootOptions options;
-  options.workers = 1;  // Serial: the denial set is deterministic.
-  options.fault_plan = &plan;
-  options.breaker = &breaker;
-  auto result = RunFleetBoot(Cache(), options);
-  ASSERT_TRUE(result.ok());
-
-  const size_t fleet = kconfig::Top20AppNames().size();
-  EXPECT_EQ(result->boots, 0u);
-  EXPECT_EQ(result->failures, fleet);
-  EXPECT_EQ(result->launch_failures, 4u);  // Trip after min_samples failures.
-  EXPECT_EQ(result->breaker_denied, fleet - 4);
-  EXPECT_EQ(result->breaker_trips, 1u);
-  EXPECT_TRUE(breaker.tripped());
-}
-
 TEST(FleetResilienceStormTest, ResilienceCountersLandInTelemetry) {
   FaultPlan plan = FaultPlan{}.FireAlways(FaultSite::kBootInitcall, /*max_fires=*/1);
   telemetry::MetricRegistry registry;
@@ -204,44 +176,6 @@ TEST(FleetResilienceStormTest, ResilienceCountersLandInTelemetry) {
   EXPECT_EQ(registry.GetGauge("fleet.recovered").value(), 1);
   EXPECT_EQ(registry.GetGauge("fleet.deadline_exceeded").value(), 0);
   EXPECT_EQ(registry.GetGauge("fleet.quarantined").value(), 0);
-}
-
-TEST(FleetResilienceTest, PanickedWorkloadIsRetriedOnAFreshVm) {
-  // An injected app fault panics the guest mid-workload (ring 0: the app IS
-  // the kernel). The monitor's retry boots a fresh VM, which runs clean.
-  FaultPlan plan = FaultPlan{}.FireAlways(FaultSite::kAppFault, /*max_fires=*/1);
-  FleetBootOptions options;
-  options.apps = {"hello-world"};
-  options.run_workload = true;
-  options.retry = FastRetry(2);
-  options.fault_plan = &plan;
-  auto result = RunFleetBoot(Cache(), options);
-  ASSERT_TRUE(result.ok());
-  EXPECT_EQ(result->boots, 1u);
-  EXPECT_EQ(result->failures, 0u);
-  EXPECT_EQ(result->retries, 1u);
-  EXPECT_EQ(result->launch_failures, 1u);
-  EXPECT_EQ(result->recovered, 1u);
-}
-
-TEST(FleetResilienceTest, SupervisedModeTakesThePolicyAndCountsGiveups) {
-  // A member that fails every boot under a hair-trigger crash-loop policy is
-  // degraded immediately; the giveup counter records the abandonment.
-  FaultPlan plan = FaultPlan{}.FireAlways(FaultSite::kBootInitcall);
-  telemetry::MetricRegistry registry;
-  FleetBootOptions options;
-  options.apps = {"hello-world"};
-  options.supervised = true;
-  options.fault_plan = &plan;
-  options.metrics = &registry;
-  options.supervisor_policy.crash_loop_failures = 1;
-  options.supervisor_policy.backoff_initial = Millis(1);
-  auto result = RunFleetBoot(Cache(), options);
-  ASSERT_TRUE(result.ok());
-  EXPECT_EQ(result->boots, 0u);
-  EXPECT_EQ(result->failures, 1u);
-  EXPECT_GE(result->launch_failures, 1u);
-  EXPECT_EQ(registry.GetCounter("supervisor.giveup_total").value(), 1u);
 }
 
 }  // namespace

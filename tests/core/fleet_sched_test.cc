@@ -3,7 +3,6 @@
 // is Boot()-only — no fiber ever runs.
 #include <gtest/gtest.h>
 
-#include <map>
 #include <string>
 #include <vector>
 
@@ -158,57 +157,6 @@ TEST(FleetSchedStorm, ColdCacheStaticAndPipelinedRunTheSameStages) {
   EXPECT_LE(pipelined->virtual_makespan, static_run->virtual_makespan);
   EXPECT_EQ(static_run->boots, kconfig::Top20AppNames().size());
   EXPECT_EQ(pipelined->boots, kconfig::Top20AppNames().size());
-}
-
-TEST(FleetSchedStorm, ColdCacheSupervisedShardsWaitOnTheSameStages) {
-  // Fresh caches, supervised: each pinned shard task depends on its
-  // members' stages, so the stages build every kernel and rootfs exactly as
-  // in direct mode and no shard starts before they end. In the two-app
-  // fleet both apps share one kernel, built on the other shard's worker.
-  const std::vector<std::vector<std::string>> fleets = {kconfig::Top20AppNames(),
-                                                        {"golang", "hello-world"}};
-  for (const std::vector<std::string>& apps : fleets) {
-    FleetBootOptions options;
-    options.apps = apps;
-    options.workers = apps.size() > 2 ? 4 : 2;
-
-    KernelCache direct_cache;
-    auto direct = RunFleetBoot(direct_cache, options);
-    ASSERT_TRUE(direct.ok()) << direct.status().ToString();
-
-    KernelCache supervised_cache;
-    options.supervised = true;
-    auto supervised = RunFleetBoot(supervised_cache, options);
-    ASSERT_TRUE(supervised.ok()) << supervised.status().ToString();
-
-    EXPECT_EQ(supervised_cache.stats().builds, direct_cache.stats().builds);
-    EXPECT_EQ(supervised_cache.rootfs_stats().builds, direct_cache.rootfs_stats().builds);
-    EXPECT_EQ(supervised_cache.rootfs_stats().builds, apps.size());
-    EXPECT_EQ(supervised->boots, apps.size());
-    EXPECT_EQ(supervised->failures, 0u);
-
-    std::map<std::string, telemetry::Span> spans;
-    for (const auto& timeline : supervised->worker_timelines) {
-      for (const auto& span : timeline.spans()) {
-        spans[span.name] = span;
-      }
-    }
-    // A stage is labelled after the first app that needs it; shard w holds
-    // apps w, w + W, ...
-    std::map<std::string, std::string> kernel_owner;
-    std::map<std::string, std::string> rootfs_owner;
-    for (size_t i = 0; i < apps.size(); ++i) {
-      auto plan = supervised_cache.PlanProvisioning(apps[i]);
-      ASSERT_TRUE(plan.ok());
-      const std::string& kernel =
-          kernel_owner.try_emplace(plan->fingerprint, apps[i]).first->second;
-      const std::string& rootfs =
-          rootfs_owner.try_emplace(plan->rootfs_key, apps[i]).first->second;
-      const telemetry::Span& shard = spans.at("shard#" + std::to_string(i % options.workers));
-      EXPECT_GE(shard.start, spans.at("build:" + kernel).end) << apps[i];
-      EXPECT_GE(shard.start, spans.at("rootfs:" + rootfs).end) << apps[i];
-    }
-  }
 }
 
 TEST(FleetSchedStorm, WorkerTimelinesRenderAsChromeTrace) {

@@ -36,9 +36,10 @@ struct Outcome {
 };
 
 Outcome EnableAll(const Config& base, const std::vector<std::string>& options, bool memoize) {
+  MemoizationGuard guard(memoize);
   Outcome outcome;
   outcome.config = base;
-  Resolver resolver(OptionDb::Linux40(), memoize);
+  Resolver resolver(OptionDb::Linux40());
   for (const auto& option : options) {
     auto report = resolver.Enable(outcome.config, option);
     if (!report.ok()) {

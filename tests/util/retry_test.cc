@@ -4,7 +4,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <thread>
 #include <vector>
 
 #include "src/util/vclock.h"
@@ -89,22 +88,6 @@ TEST(RetrierTest, PermanentErrorNeverRetries) {
   EXPECT_STREQ(decision.reason, "permanent-error");
 }
 
-TEST(RetrierTest, BudgetCapsTheSummedBackoff) {
-  RetryPolicy policy;
-  policy.max_attempts = 100;
-  policy.backoff.initial = Millis(100);
-  policy.backoff.jitter = 0.0;
-  policy.total_budget = Millis(250);  // 100 + 200 > 250: second retry denied.
-  Retrier retrier(policy);
-  auto first = retrier.OnFailure(Status(Err::kIo, "boom"));
-  EXPECT_TRUE(first.retry);
-  EXPECT_EQ(first.delay, Millis(100));
-  auto second = retrier.OnFailure(Status(Err::kIo, "boom"));
-  EXPECT_FALSE(second.retry);
-  EXPECT_STREQ(second.reason, "budget-exhausted");
-  EXPECT_EQ(retrier.backoff_total(), Millis(100));
-}
-
 TEST(RetrierTest, SeedOffsetDecorrelatesTasksAndResetReplays) {
   RetryPolicy policy;
   policy.max_attempts = 8;
@@ -122,17 +105,6 @@ TEST(RetrierTest, SeedOffsetDecorrelatesTasksAndResetReplays) {
   };
   EXPECT_EQ(schedule(3), schedule(3));  // Same task => same schedule.
   EXPECT_NE(schedule(3), schedule(4));  // Different tasks decorrelate.
-
-  Retrier retrier(policy, 3);
-  std::vector<Nanos> first, second;
-  for (int i = 0; i < 4; ++i) {
-    first.push_back(retrier.OnFailure(Status(Err::kIo, "boom")).delay);
-  }
-  retrier.Reset();
-  for (int i = 0; i < 4; ++i) {
-    second.push_back(retrier.OnFailure(Status(Err::kIo, "boom")).delay);
-  }
-  EXPECT_EQ(first, second);
 }
 
 TEST(DeadlineGuardTest, ExpiresAndChargesTheDeadlineNotTheStall) {
@@ -159,91 +131,6 @@ TEST(DeadlineGuardTest, ZeroDeadlineNeverExpires) {
   EXPECT_EQ(guard.charged(), Seconds(3600));
   EXPECT_TRUE(DeadlineGuard::CheckElapsed("build", 0, Seconds(999)).ok());
   EXPECT_FALSE(DeadlineGuard::CheckElapsed("build", Millis(1), Millis(2)).ok());
-}
-
-TEST(CircuitBreakerTest, TripsAtTheRatioAndCountsDenials) {
-  BreakerPolicy policy;
-  policy.window = 8;
-  policy.min_samples = 4;
-  policy.trip_ratio = 0.5;
-  policy.fail_fast = true;
-  policy.probe_after = 0;  // Stays open forever.
-  CircuitBreaker breaker(policy);
-  // 3 failures in 3 samples: below min_samples, no verdict yet.
-  for (int i = 0; i < 3; ++i) {
-    EXPECT_TRUE(breaker.Allow());
-    breaker.Record(false);
-  }
-  EXPECT_FALSE(breaker.tripped());
-  EXPECT_TRUE(breaker.Allow());
-  breaker.Record(false);  // 4/4 failures >= 0.5 => trip.
-  EXPECT_TRUE(breaker.tripped());
-  EXPECT_EQ(breaker.trips(), 1u);
-  for (int i = 0; i < 5; ++i) {
-    EXPECT_FALSE(breaker.Allow());
-  }
-  EXPECT_EQ(breaker.denied(), 5u);
-  EXPECT_DOUBLE_EQ(breaker.failure_ratio(), 1.0);
-}
-
-TEST(CircuitBreakerTest, BestEffortCountsTripsButAllowsEverything) {
-  BreakerPolicy policy;
-  policy.min_samples = 2;
-  policy.fail_fast = false;
-  CircuitBreaker breaker(policy);
-  breaker.Record(false);
-  breaker.Record(false);
-  EXPECT_TRUE(breaker.tripped());
-  EXPECT_EQ(breaker.trips(), 1u);
-  EXPECT_TRUE(breaker.Allow());
-  EXPECT_EQ(breaker.denied(), 0u);
-}
-
-TEST(CircuitBreakerTest, HalfOpenProbeClosesTheBreakerOnSuccess) {
-  BreakerPolicy policy;
-  policy.min_samples = 2;
-  policy.fail_fast = true;
-  policy.probe_after = 3;
-  CircuitBreaker breaker(policy);
-  breaker.Record(false);
-  breaker.Record(false);
-  ASSERT_TRUE(breaker.tripped());
-  EXPECT_FALSE(breaker.Allow());
-  EXPECT_FALSE(breaker.Allow());
-  EXPECT_TRUE(breaker.Allow());  // The third denial turns into the probe.
-  EXPECT_EQ(breaker.denied(), 2u);
-  breaker.Record(true);  // Probe succeeded: breaker closes, window forgets.
-  EXPECT_FALSE(breaker.tripped());
-  EXPECT_TRUE(breaker.Allow());
-  EXPECT_DOUBLE_EQ(breaker.failure_ratio(), 0.0);
-}
-
-TEST(CircuitBreakerStormTest, ConcurrentRecordsKeepExactCounts) {
-  constexpr int kThreads = 8;
-  constexpr int kPerThread = 2000;
-  BreakerPolicy policy;
-  // Window holds every outcome, so the final ratio is exact (8000/16000)
-  // whatever the interleaving; min_samples keeps it from ever tripping.
-  policy.window = kThreads * kPerThread;
-  policy.min_samples = kThreads * kPerThread + 1;
-  CircuitBreaker breaker(policy);
-  std::vector<std::thread> threads;
-  threads.reserve(kThreads);
-  for (int t = 0; t < kThreads; ++t) {
-    threads.emplace_back([&breaker] {
-      for (int i = 0; i < kPerThread; ++i) {
-        EXPECT_TRUE(breaker.Allow());
-        breaker.Record(i % 2 == 0);
-      }
-    });
-  }
-  for (auto& thread : threads) {
-    thread.join();
-  }
-  EXPECT_FALSE(breaker.tripped());
-  EXPECT_EQ(breaker.trips(), 0u);
-  EXPECT_EQ(breaker.denied(), 0u);
-  EXPECT_DOUBLE_EQ(breaker.failure_ratio(), 0.5);  // Window is even-sized.
 }
 
 }  // namespace

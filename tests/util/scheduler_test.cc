@@ -1,4 +1,4 @@
-// WorkStealingScheduler: deque policy, DAG gating, pinning and the
+// WorkStealingScheduler: deque policy, DAG gating, locality and the
 // determinism of the virtual-time replay. Most tests drive Simulate directly
 // — the replay is the product (every reported fleet figure comes from it);
 // host execution is covered by the SchedulerStorm suite, which is
@@ -83,25 +83,6 @@ TEST(SchedulerTest, StealingOffIsTheStaticShard) {
   EXPECT_EQ(report.worker_busy[1], Nanos{0});
 }
 
-TEST(SchedulerTest, PinnedTasksNeverMigrate) {
-  // Two pinned tasks and one unpinned on worker 0's deque. The thief may
-  // take the unpinned one but must leave the pinned ones to starve behind
-  // worker 0's long task.
-  std::vector<SimTask> tasks = {
-      {.home = 0, .pin = 0, .cost = Nanos{100}},
-      {.home = 0, .pin = 0, .cost = Nanos{10}},
-      {.home = 0, .cost = Nanos{10}},
-  };
-  Report report = Sim(2, /*stealing=*/true, tasks);
-  EXPECT_EQ(report.tasks[2].worker, 1);  // The unpinned task is stolen...
-  EXPECT_TRUE(report.tasks[2].stolen);
-  EXPECT_EQ(report.tasks[0].worker, 0);  // ...the pinned ones are not.
-  EXPECT_EQ(report.tasks[1].worker, 0);
-  EXPECT_EQ(report.tasks[1].start, Nanos{100});  // Behind the long task.
-  EXPECT_EQ(report.makespan, Nanos{110});
-  EXPECT_EQ(report.steals, 1u);
-}
-
 TEST(SchedulerTest, DependentStagesOverlapAcrossWorkers) {
   // The fleet's pipelined shape in miniature: one provisioning task gates
   // two boots. Both boots become ready the instant it completes, and the
@@ -116,31 +97,6 @@ TEST(SchedulerTest, DependentStagesOverlapAcrossWorkers) {
   EXPECT_EQ(report.tasks[2].start, Nanos{50});  // the dependency resolved.
   EXPECT_EQ(report.makespan, Nanos{60});
   EXPECT_EQ(report.steals, 1u);
-}
-
-TEST(SchedulerTest, PinnedDependentIsPushedToItsPinnedWorker) {
-  // The supervised fleet shape: a shard pinned to worker 0 waits on a
-  // provisioning stage that completes on worker 1. Once ready, the shard
-  // goes to worker 0's deque, not to the completing worker's, and the idle
-  // worker 1 may not steal it: it starts when worker 0 frees up.
-  std::vector<SimTask> tasks(3);
-  tasks[0].home = 1;  // The stage.
-  tasks[0].cost = Nanos{50};
-  tasks[1].home = 0;  // Keeps worker 0 busy past the stage.
-  tasks[1].pin = 0;
-  tasks[1].cost = Nanos{100};
-  tasks[2].home = 0;  // The shard.
-  tasks[2].pin = 0;
-  tasks[2].cost = Nanos{10};
-  tasks[2].deps = {0};
-  Report report = Sim(2, /*stealing=*/true, tasks);
-  EXPECT_EQ(report.tasks[0].worker, 1);
-  EXPECT_EQ(report.tasks[0].end, Nanos{50});
-  EXPECT_EQ(report.tasks[2].worker, 0);
-  EXPECT_FALSE(report.tasks[2].stolen);
-  EXPECT_EQ(report.tasks[2].start, Nanos{100});
-  EXPECT_EQ(report.makespan, Nanos{110});
-  EXPECT_EQ(report.steals, 0u);
 }
 
 TEST(SchedulerTest, EmptyTaskSetTerminates) {
@@ -202,7 +158,7 @@ TEST(SchedulerStorm, HostExecutionRunsEveryBodyOnceAndReplaysIdentically) {
     if (i >= 8) {
       spec.deps.push_back(i - 8);
     }
-    mirror.push_back({spec.home, spec.pin, cost, spec.deps, spec.label});
+    mirror.push_back({spec.home, cost, spec.deps, spec.label});
     scheduler.Submit(std::move(spec));
   }
   Report host = scheduler.Run();
@@ -219,40 +175,39 @@ TEST(SchedulerStorm, HostExecutionRunsEveryBodyOnceAndReplaysIdentically) {
   }
 }
 
-TEST(SchedulerStorm, PinnedDependentRunsOnItsPinnedHostThread) {
-  // Host execution of the same shape: the stage is pinned to worker 1 and
-  // the shard to worker 0, behind the stage. The shard's body must run on
-  // worker 0's thread (the one that ran the other worker-0 task), never on
-  // the thread that completed its dependency.
+TEST(SchedulerStorm, DependentRunsOnTheHostThreadThatCompletedItsDependency) {
+  // Locality, the rule kStaticShards rests on: with stealing off, a task
+  // that becomes ready when its dependency completes enters the completing
+  // worker's deque, not its home deque. Task 0 (50 ns) is homed on worker 1,
+  // task 1 (100 ns) keeps worker 0 busy, and task 2 depends on task 0 but is
+  // homed on worker 0: it must run on task 0's thread, at t=50 on worker 1.
   for (int trial = 0; trial < 10; ++trial) {
     std::vector<std::thread::id> ran_on(3);
-    WorkStealingScheduler::Options options;
-    options.workers = 2;
-    WorkStealingScheduler scheduler(options);
+    const Nanos costs[] = {Nanos{50}, Nanos{100}, Nanos{10}};
+    WorkStealingScheduler scheduler({.workers = 2, .stealing = false});
     for (size_t i = 0; i < 3; ++i) {
       WorkStealingScheduler::TaskSpec spec;
-      spec.body = [&ran_on, i] {
+      spec.body = [&ran_on, &costs, i] {
         ran_on[i] = std::this_thread::get_id();
-        return Nanos{static_cast<Nanos>(10 * (i + 1))};
+        return costs[i];
       };
       spec.home = i == 0 ? 1 : 0;
-      spec.pin = spec.home;
       if (i == 2) {
         spec.deps = {0};
       }
       scheduler.Submit(std::move(spec));
     }
     Report report = scheduler.Run();
-    EXPECT_EQ(ran_on[2], ran_on[1]) << "trial " << trial;
-    EXPECT_NE(ran_on[2], ran_on[0]) << "trial " << trial;
+    EXPECT_EQ(ran_on[2], ran_on[0]) << "trial " << trial;
+    EXPECT_NE(ran_on[2], ran_on[1]) << "trial " << trial;
     EXPECT_EQ(report.tasks[0].worker, 1);
-    EXPECT_EQ(report.tasks[2].worker, 0);
+    EXPECT_EQ(report.tasks[2].worker, 1);
     EXPECT_FALSE(report.tasks[2].stolen);
-    EXPECT_EQ(report.tasks[2].start, Nanos{20});  // Worker 0 frees at 20.
+    EXPECT_EQ(report.tasks[2].start, Nanos{50});
+    EXPECT_EQ(report.makespan, Nanos{100});
     EXPECT_EQ(report.steals, 0u);
   }
 }
-
 
 TEST(SchedulerTest, ReleaseTimesGateDispatchAndIdleJump) {
   // Open-loop arrivals: a task is not dispatched before its release even
