@@ -1,17 +1,21 @@
 // Host-level microbenchmarks (google-benchmark) of the simulator's own
 // primitives: fiber switching, scheduler throughput, rootfs codec, config
-// resolution, kernel image build, config fingerprint. These measure the
-// reproduction infrastructure itself, not the simulated guest.
+// resolution, kernel image build, config fingerprint, guest cold boot and
+// snapshot restore. These measure the reproduction infrastructure itself,
+// not the simulated guest.
 #include <benchmark/benchmark.h>
 
 #include "src/apps/rootfs_builder.h"
 #include "src/core/multik.h"
+#include "src/core/snapshot_cache.h"
 #include "src/guestos/rootfs.h"
 #include "src/guestos/sched.h"
+#include "src/guestos/snapshot.h"
 #include "src/kbuild/builder.h"
 #include "src/kconfig/presets.h"
 #include "src/kconfig/resolver.h"
 #include "src/util/fiber.h"
+#include "src/vmm/vm.h"
 
 namespace {
 
@@ -84,6 +88,54 @@ void BM_ConfigFingerprint(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_ConfigFingerprint);
+
+// nginx's KernelCache artifact and a snapshot captured from one boot of it,
+// at the serving layer's default guest RAM.
+struct NginxLaunch {
+  static constexpr Bytes kMemory = 128 * kMiB;
+  core::KernelCache cache;
+  core::KernelCache::ArtifactPtr artifact;
+  guestos::Snapshot snapshot;
+};
+
+const NginxLaunch& Nginx() {
+  static const NginxLaunch* launch = [] {
+    auto* l = new NginxLaunch;
+    l->artifact = l->cache.GetOrBuild("nginx").take();
+    auto vm = l->artifact->Launch(NginxLaunch::kMemory);
+    if (!vm->Boot().ok()) {
+      std::abort();
+    }
+    const std::string key = core::SnapshotCache::Key(
+        l->artifact->fingerprint, l->artifact->rootfs_key, NginxLaunch::kMemory);
+    l->snapshot = guestos::CaptureSnapshot(vm->kernel(), key, "nginx", l->artifact->kernel,
+                                           l->artifact->boot_plan, l->artifact->rootfs)
+                      .take();
+    return l;
+  }();
+  return *launch;
+}
+
+// Launch + Boot of the artifact: a cold start up to init exec.
+void BM_VmColdBoot(benchmark::State& state) {
+  const NginxLaunch& nginx = Nginx();
+  for (auto _ : state) {
+    auto vm = nginx.artifact->Launch(NginxLaunch::kMemory);
+    benchmark::DoNotOptimize(vm->Boot().ok());
+  }
+}
+BENCHMARK(BM_VmColdBoot);
+
+// Vm::Restore of the captured snapshot: the replayed Boot+StartInit plus the
+// digest check, what every serving refill and on-demand restore pays.
+void BM_VmRestore(benchmark::State& state) {
+  const NginxLaunch& nginx = Nginx();
+  for (auto _ : state) {
+    auto vm = vmm::Vm::Restore(nginx.snapshot);
+    benchmark::DoNotOptimize(vm.ok());
+  }
+}
+BENCHMARK(BM_VmRestore);
 
 }  // namespace
 

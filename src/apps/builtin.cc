@@ -136,7 +136,11 @@ int RedisMain(SyscallApi& sys, const std::vector<std::string>& argv) {
           if (it == store.end()) {
             reply += "$-1\r\n";
           } else {
-            reply += "$" + std::to_string(it->second.size()) + "\r\n" + it->second + "\r\n";
+            reply += '$';
+            reply += std::to_string(it->second.size());
+            reply += "\r\n";
+            reply += it->second;
+            reply += "\r\n";
           }
         } else if (op == "SHUTDOWN") {
           (void)sys.Write(1, "# User requested shutdown...\n");

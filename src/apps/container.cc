@@ -25,7 +25,7 @@ ContainerImage MakeAlpineImage(const AppManifest& manifest) {
     image.setup_dirs = {"/var/lib/postgresql/data", "/var/run/postgresql"};
     image.needs_entropy = true;
   } else if (manifest.name == "mysql" || manifest.name == "mariadb") {
-    image.env["MYSQL_ALLOW_EMPTY_PASSWORD"] = "1";
+    image.env.emplace("MYSQL_ALLOW_EMPTY_PASSWORD", "1");
     image.setup_dirs = {"/var/lib/mysql", "/var/run/mysqld"};
     image.needs_entropy = true;
   } else if (manifest.kind == AppKind::kServer) {

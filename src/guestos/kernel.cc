@@ -173,23 +173,26 @@ Status Kernel::Boot(const std::string& rootfs_blob, const BootPlan* plan_in) {
     blob = &corrupted;
     injected_corruption = true;
   }
-  auto spec = ParseRootfs(*blob);
-  if (!spec.ok()) {
+  // The whole image is validated before any inode is created; the mount
+  // then reads the records in place.
+  auto records = ReadRootfs(*blob);
+  if (!records.ok()) {
     console_.Write("VFS: Cannot open root device\n");
     if (injected_corruption) {
       // The injected flip models a transient bad-block read, not a
       // malformed image: surface it as an I/O error so the fleet retry
       // policy (and quarantine's rebuild credit) applies. A genuinely
-      // malformed blob keeps ParseRootfs's kInval and fails fast.
-      return Status(Err::kIo, "rootfs read error (bad block): " + spec.status().message());
+      // malformed blob keeps ReadRootfs's kInval and fails fast.
+      return Status(Err::kIo, "rootfs read error (bad block): " + records.status().message());
     }
-    return spec.status();
+    return records.status();
   }
-  if (Status s = MountRootfs(spec.value(), vfs_); !s.ok()) {
+  if (Status s = MountRootfs(records.value(), vfs_); !s.ok()) {
     return s;
   }
-  // Rootfs metadata (inode/dentry cache): one page per 8 entries.
-  if (Status s = mm_->AllocatePages((spec.value().size() + 7) / 8, "dentry-cache"); !s.ok()) {
+  // Rootfs metadata (inode/dentry cache): one page per 8 entries (distinct
+  // paths, records of no known type included).
+  if (Status s = mm_->AllocatePages((records.value().size() + 7) / 8, "dentry-cache"); !s.ok()) {
     oom_ = true;
     return s;
   }

@@ -1,5 +1,6 @@
 #include "src/guestos/rootfs.h"
 
+#include <algorithm>
 #include <cstring>
 
 namespace lupine::guestos {
@@ -14,7 +15,7 @@ void PutU32(std::string& out, uint32_t v) {
   out.push_back(static_cast<char>((v >> 24) & 0xFF));
 }
 
-bool GetU32(const std::string& in, size_t& pos, uint32_t& v) {
+bool GetU32(std::string_view in, size_t& pos, uint32_t& v) {
   if (pos + 4 > in.size()) {
     return false;
   }
@@ -25,13 +26,44 @@ bool GetU32(const std::string& in, size_t& pos, uint32_t& v) {
   return true;
 }
 
-bool GetBlob(const std::string& in, size_t& pos, uint32_t len, std::string& out) {
+bool GetBytes(std::string_view in, size_t& pos, uint32_t len, std::string_view& out) {
   if (pos + len > in.size()) {
     return false;
   }
-  out.assign(in, pos, len);
+  out = in.substr(pos, len);
   pos += len;
   return true;
+}
+
+// The smallest record: a path length, the three header bytes and a payload
+// length.
+constexpr size_t kMinRecordBytes = 4 + 3 + 4;
+
+// Creates one entry: its parent directories (tar-style images list files
+// only), then the entry. Both MountRootfs overloads mount through it.
+Status MountEntry(const RootfsRecord& record, Vfs& vfs) {
+  if (record.type == InodeType::kDir) {
+    auto r = vfs.CreateDir(record.path);
+    return r.ok() ? Status::Ok() : r.status();
+  }
+  if (record.type != InodeType::kFile && record.type != InodeType::kCharDev &&
+      record.type != InodeType::kSymlink) {
+    return Status::Ok();
+  }
+  const std::string_view parent = record.path.substr(0, record.path.find_last_of('/'));
+  if (!parent.empty()) {
+    auto r = vfs.CreateDir(parent);
+    if (!r.ok()) {
+      return r.status();
+    }
+  }
+  if (record.type == InodeType::kSymlink) {
+    return vfs.CreateSymlink(record.path, record.payload);
+  }
+  auto r = record.type == InodeType::kFile
+               ? vfs.CreateFile(record.path, std::string(record.payload), record.executable)
+               : vfs.CreateDevice(record.path, record.dev);
+  return r.ok() ? Status::Ok() : r.status();
 }
 
 }  // namespace
@@ -53,7 +85,7 @@ std::string FormatRootfs(const FsSpec& spec) {
   return out;
 }
 
-Result<FsSpec> ParseRootfs(const std::string& blob) {
+Result<std::vector<RootfsRecord>> ReadRootfs(std::string_view blob) {
   if (blob.size() < sizeof(kMagic) || std::memcmp(blob.data(), kMagic, sizeof(kMagic)) != 0) {
     return Status(Err::kInval, "bad rootfs magic (not a LUPX2FS image)");
   }
@@ -62,87 +94,72 @@ Result<FsSpec> ParseRootfs(const std::string& blob) {
   if (!GetU32(blob, pos, count)) {
     return Status(Err::kInval, "truncated rootfs superblock");
   }
-  FsSpec spec;
+  std::vector<RootfsRecord> records;
+  // The count is read from the image: reserve no more than its bytes hold.
+  records.reserve(std::min<size_t>(count, (blob.size() - pos) / kMinRecordBytes));
   for (uint32_t i = 0; i < count; ++i) {
+    RootfsRecord& record = records.emplace_back();
     uint32_t path_len = 0;
-    std::string path;
-    if (!GetU32(blob, pos, path_len) || !GetBlob(blob, pos, path_len, path)) {
+    if (!GetU32(blob, pos, path_len) || !GetBytes(blob, pos, path_len, record.path)) {
       return Status(Err::kInval, "truncated rootfs entry path");
     }
     if (pos + 3 > blob.size()) {
       return Status(Err::kInval, "truncated rootfs entry header");
     }
-    FsEntry entry;
-    entry.type = static_cast<InodeType>(blob[pos++]);
-    entry.dev = static_cast<DevId>(blob[pos++]);
-    entry.executable = blob[pos++] != 0;
+    record.type = static_cast<InodeType>(blob[pos++]);
+    record.dev = static_cast<DevId>(blob[pos++]);
+    record.executable = blob[pos++] != 0;
     uint32_t data_len = 0;
-    std::string payload;
-    if (!GetU32(blob, pos, data_len) || !GetBlob(blob, pos, data_len, payload)) {
+    if (!GetU32(blob, pos, data_len) || !GetBytes(blob, pos, data_len, record.payload)) {
       return Status(Err::kInval, "truncated rootfs entry data");
     }
-    if (entry.type == InodeType::kSymlink) {
-      entry.symlink_target = std::move(payload);
-    } else {
-      entry.data = std::move(payload);
-    }
-    spec.emplace(std::move(path), std::move(entry));
+  }
+  // Ascending path order; a duplicated path's records sort by their place
+  // in the blob, so the first one survives the dedup.
+  std::sort(records.begin(), records.end(), [](const RootfsRecord& a, const RootfsRecord& b) {
+    const int order = a.path.compare(b.path);
+    return order != 0 ? order < 0 : a.path.data() < b.path.data();
+  });
+  records.erase(std::unique(records.begin(), records.end(),
+                            [](const RootfsRecord& a, const RootfsRecord& b) {
+                              return a.path == b.path;
+                            }),
+                records.end());
+  return records;
+}
+
+Result<FsSpec> ParseRootfs(const std::string& blob) {
+  auto records = ReadRootfs(blob);
+  if (!records.ok()) {
+    return records.status();
+  }
+  FsSpec spec;
+  for (const RootfsRecord& record : records.value()) {
+    FsEntry& entry = spec.emplace_hint(spec.end(), record.path, FsEntry{})->second;
+    entry.type = record.type;
+    entry.dev = record.dev;
+    entry.executable = record.executable;
+    (record.type == InodeType::kSymlink ? entry.symlink_target : entry.data) = record.payload;
   }
   return spec;
 }
 
+Status MountRootfs(std::span<const RootfsRecord> records, Vfs& vfs) {
+  for (const RootfsRecord& record : records) {
+    if (Status s = MountEntry(record, vfs); !s.ok()) {
+      return s;
+    }
+  }
+  return Status::Ok();
+}
+
 Status MountRootfs(const FsSpec& spec, Vfs& vfs) {
   for (const auto& [path, entry] : spec) {
-    switch (entry.type) {
-      case InodeType::kDir: {
-        auto r = vfs.CreateDir(path);
-        if (!r.ok()) {
-          return r.status();
-        }
-        break;
-      }
-      case InodeType::kFile: {
-        // Ensure parent directories exist (tar-style images list files only).
-        auto parent = path.substr(0, path.find_last_of('/'));
-        if (!parent.empty()) {
-          auto r = vfs.CreateDir(parent);
-          if (!r.ok()) {
-            return r.status();
-          }
-        }
-        auto r = vfs.CreateFile(path, entry.data, entry.executable);
-        if (!r.ok()) {
-          return r.status();
-        }
-        break;
-      }
-      case InodeType::kCharDev: {
-        auto parent = path.substr(0, path.find_last_of('/'));
-        if (!parent.empty()) {
-          auto r = vfs.CreateDir(parent);
-          if (!r.ok()) {
-            return r.status();
-          }
-        }
-        auto r = vfs.CreateDevice(path, entry.dev);
-        if (!r.ok()) {
-          return r.status();
-        }
-        break;
-      }
-      case InodeType::kSymlink: {
-        auto parent = path.substr(0, path.find_last_of('/'));
-        if (!parent.empty()) {
-          auto r = vfs.CreateDir(parent);
-          if (!r.ok()) {
-            return r.status();
-          }
-        }
-        if (Status s = vfs.CreateSymlink(path, entry.symlink_target); !s.ok()) {
-          return s;
-        }
-        break;
-      }
+    const std::string& payload =
+        entry.type == InodeType::kSymlink ? entry.symlink_target : entry.data;
+    if (Status s = MountEntry({path, entry.type, entry.dev, entry.executable, payload}, vfs);
+        !s.ok()) {
+      return s;
     }
   }
   return Status::Ok();

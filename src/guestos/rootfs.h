@@ -3,13 +3,16 @@
 // Lupine converts a container image into an ext2 image that the kernel
 // mounts as its rootfs (Section 3). Our equivalent is a small serialized
 // filesystem blob ("LUPX2" format): a superblock followed by path/type/data
-// records. The builder side lives in src/core/rootfs_builder.*; this module
+// records. The builder side lives in src/apps/rootfs_builder.*; this module
 // owns the format itself plus mounting into a Vfs.
 #ifndef SRC_GUESTOS_ROOTFS_H_
 #define SRC_GUESTOS_ROOTFS_H_
 
 #include <map>
+#include <span>
 #include <string>
+#include <string_view>
+#include <vector>
 
 #include "src/guestos/vfs.h"
 #include "src/util/result.h"
@@ -33,10 +36,28 @@ using FsSpec = std::map<std::string, FsEntry>;
 // Serializes a spec into an image blob.
 std::string FormatRootfs(const FsSpec& spec);
 
-// Parses an image blob back into a spec. Fails on bad magic / truncation.
+// One record of an image blob, viewing the blob's bytes.
+struct RootfsRecord {
+  std::string_view path;
+  InodeType type = InodeType::kFile;  // The record's type byte; may name no type.
+  DevId dev = DevId::kNone;
+  bool executable = false;
+  std::string_view payload;  // File contents, or a symlink's target.
+};
+
+// The one LUPX2FS reader: validates the whole blob and returns its records
+// in ascending path order, keeping the first record of a duplicated path —
+// the entries and order an FsSpec holds. Fails on bad magic / truncation.
+// The records view `blob`, which must outlive them.
+Result<std::vector<RootfsRecord>> ReadRootfs(std::string_view blob);
+
+// Parses an image blob back into a spec: a copy of ReadRootfs's records.
 Result<FsSpec> ParseRootfs(const std::string& blob);
 
-// Materializes a parsed image into a Vfs (the kernel's mount step).
+// Materializes an image into a Vfs (the kernel's mount step), entry by
+// entry in order: an entry's parent directories, then the entry itself.
+// Records of no known type are skipped.
+Status MountRootfs(std::span<const RootfsRecord> records, Vfs& vfs);
 Status MountRootfs(const FsSpec& spec, Vfs& vfs);
 
 // On-disk size of an image (what the monitor reads at boot).

@@ -12,7 +12,11 @@
 // rebuilds byte-identical state, because the simulator is deterministic —
 // verifies the digest, and then rebases the virtual timeline so the
 // instance's launch cost is the modeled restore cost, not the boot cost.
-// Like every figure in this repo, the saving lives on the virtual clock.
+// Like every figure in this repo, the saving lives on the virtual clock: on
+// the host a restore pays for a cold boot up to init plus the digest — the
+// kernel's construction, one pass over the rootfs blob that validates it
+// and mounts its records in place, and init's spawn (bench/host_microbench
+// times it as BM_VmRestore, next to BM_VmColdBoot).
 //
 // Snapshots are only captured between StartInit() and the first Run(): at
 // that point no fiber has executed, so the state is a pure function of

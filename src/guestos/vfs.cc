@@ -1,183 +1,194 @@
 #include "src/guestos/vfs.h"
 
 #include <algorithm>
-#include <sstream>
 
 namespace lupine::guestos {
 namespace {
 
 constexpr int kMaxSymlinkDepth = 8;
 
-// Splits a path into components, dropping empty ones.
-std::vector<std::string> SplitPath(const std::string& path) {
-  std::vector<std::string> parts;
-  std::string current;
-  for (char c : path) {
-    if (c == '/') {
-      if (!current.empty()) {
-        parts.push_back(current);
-        current.clear();
-      }
-    } else {
-      current += c;
-    }
+// Returns the next component of `path` at or after `pos`, skipping empty
+// ones, and moves `pos` past it; empty once none is left.
+std::string_view NextComponent(std::string_view path, size_t& pos) {
+  while (pos < path.size() && path[pos] == '/') {
+    ++pos;
   }
-  if (!current.empty()) {
-    parts.push_back(current);
+  const size_t start = pos;
+  while (pos < path.size() && path[pos] != '/') {
+    ++pos;
   }
-  return parts;
+  return path.substr(start, pos - start);
+}
+
+// "/" plus each component and a "/": how a Create* names the directory it
+// walked to ("/a/b/" for "a//b").
+std::string NormalizedDir(std::string_view path) {
+  std::string out = "/";
+  size_t pos = 0;
+  for (std::string_view part = NextComponent(path, pos); !part.empty();
+       part = NextComponent(path, pos)) {
+    out += part;
+    out += '/';
+  }
+  return out;
 }
 
 }  // namespace
 
 Vfs::Vfs() : root_(std::make_shared<Inode>()) { root_->type = InodeType::kDir; }
 
-Result<std::shared_ptr<Inode>> Vfs::Resolve(const std::string& path) const {
-  return ResolveInternal(path, 0);
+Result<std::shared_ptr<Inode>> Vfs::Resolve(std::string_view path) const {
+  auto node = Walk(path, 0, /*names_parent=*/false);
+  if (!node.ok()) {
+    return node.status();
+  }
+  return *node.value();
 }
 
-Result<std::shared_ptr<Inode>> Vfs::ResolveInternal(const std::string& path, int depth) const {
+Result<const std::shared_ptr<Inode>*> Vfs::Walk(std::string_view path, int depth,
+                                                bool names_parent) const {
+  auto fail = [&](Err err, const char* what) {
+    return Status(err, (names_parent ? NormalizedDir(path) : std::string(path)) + what);
+  };
   if (depth > kMaxSymlinkDepth) {
-    return Status(Err::kIo, path + ": too many levels of symbolic links");
+    return fail(Err::kIo, ": too many levels of symbolic links");
   }
-  std::shared_ptr<Inode> node = root_;
-  std::vector<std::string> parts = SplitPath(path);
-  std::vector<std::shared_ptr<Inode>> stack = {root_};
+  const std::shared_ptr<Inode>* node = &root_;
+  // The directories above `node`, for "..": only a path with one keeps them.
+  const bool has_dotdot = path.find("..") != std::string_view::npos;
+  std::vector<const std::shared_ptr<Inode>*> above;
 
-  for (size_t i = 0; i < parts.size(); ++i) {
-    const std::string& part = parts[i];
+  size_t pos = 0;
+  for (std::string_view part = NextComponent(path, pos); !part.empty();
+       part = NextComponent(path, pos)) {
     if (part == ".") {
       continue;
     }
     if (part == "..") {
-      if (stack.size() > 1) {
-        stack.pop_back();
+      if (!above.empty()) {
+        node = above.back();
+        above.pop_back();
       }
-      node = stack.back();
       continue;
     }
-    if (node->type != InodeType::kDir) {
-      return Status(Err::kNotDir, path + ": not a directory");
+    if ((*node)->type != InodeType::kDir) {
+      return fail(Err::kNotDir, ": not a directory");
     }
-    auto it = node->children.find(part);
-    if (it == node->children.end()) {
-      return Status(Err::kNoEnt, path + ": no such file or directory");
+    auto it = (*node)->children.find(part);
+    if (it == (*node)->children.end()) {
+      return fail(Err::kNoEnt, ": no such file or directory");
     }
-    std::shared_ptr<Inode> next = it->second;
+    const std::shared_ptr<Inode>& next = it->second;
     if (next->type == InodeType::kSymlink) {
       // Re-resolve the target plus the remaining components.
       std::string rest = next->symlink_target;
-      for (size_t j = i + 1; j < parts.size(); ++j) {
-        rest += "/" + parts[j];
+      for (part = NextComponent(path, pos); !part.empty(); part = NextComponent(path, pos)) {
+        rest += '/';
+        rest += part;
       }
-      return ResolveInternal(rest, depth + 1);
+      return Walk(rest, depth + 1, /*names_parent=*/false);
     }
-    node = next;
-    stack.push_back(node);
+    if (has_dotdot) {
+      above.push_back(node);
+    }
+    node = &next;
   }
   return node;
 }
 
-Result<std::pair<std::shared_ptr<Inode>, std::string>> Vfs::ResolveParent(
-    const std::string& path) const {
-  std::vector<std::string> parts = SplitPath(path);
-  if (parts.empty()) {
+Result<std::pair<Inode*, std::string_view>> Vfs::WalkToParent(std::string_view path) const {
+  const size_t leaf_end = path.find_last_not_of('/');
+  if (leaf_end == std::string_view::npos) {
     return Status(Err::kInval, "cannot take parent of /");
   }
-  std::string leaf = parts.back();
-  std::string parent_path = "/";
-  for (size_t i = 0; i + 1 < parts.size(); ++i) {
-    parent_path += parts[i] + "/";
+  const size_t slash = path.find_last_of('/', leaf_end);
+  const size_t leaf_start = slash == std::string_view::npos ? 0 : slash + 1;
+  const std::string_view dir_path = path.substr(0, leaf_start);
+  auto dir = Walk(dir_path, 0, /*names_parent=*/true);
+  if (!dir.ok()) {
+    return dir.status();
   }
-  auto parent = Resolve(parent_path);
-  if (!parent.ok()) {
-    return parent.status();
+  if ((*dir.value())->type != InodeType::kDir) {
+    return Status(Err::kNotDir, NormalizedDir(dir_path) + ": not a directory");
   }
-  if (parent.value()->type != InodeType::kDir) {
-    return Status(Err::kNotDir, parent_path + ": not a directory");
-  }
-  return std::make_pair(parent.take(), leaf);
+  return std::make_pair(dir.value()->get(), path.substr(leaf_start, leaf_end + 1 - leaf_start));
 }
 
-Result<std::shared_ptr<Inode>> Vfs::CreateFile(const std::string& path, std::string data,
+Result<std::shared_ptr<Inode>> Vfs::CreateFile(std::string_view path, std::string data,
                                                bool executable) {
-  auto parent = ResolveParent(path);
+  auto parent = WalkToParent(path);
   if (!parent.ok()) {
     return parent.status();
   }
-  auto& [dir, leaf] = parent.value();
   auto inode = std::make_shared<Inode>();
   inode->type = InodeType::kFile;
   inode->data = std::move(data);
   inode->executable = executable;
-  dir->children[leaf] = inode;
+  parent->first->children.insert_or_assign(std::string(parent->second), inode);
   return inode;
 }
 
-Result<std::shared_ptr<Inode>> Vfs::CreateDir(const std::string& path) {
-  // mkdir -p semantics: create all missing components.
-  std::vector<std::string> parts = SplitPath(path);
-  std::shared_ptr<Inode> node = root_;
-  for (const auto& part : parts) {
-    if (node->type != InodeType::kDir) {
-      return Status(Err::kNotDir, path + ": component is not a directory");
+Result<std::shared_ptr<Inode>> Vfs::CreateDir(std::string_view path) {
+  const std::shared_ptr<Inode>* node = &root_;
+  size_t pos = 0;
+  for (std::string_view part = NextComponent(path, pos); !part.empty();
+       part = NextComponent(path, pos)) {
+    if ((*node)->type != InodeType::kDir) {
+      return Status(Err::kNotDir, std::string(path) + ": component is not a directory");
     }
-    auto it = node->children.find(part);
-    if (it == node->children.end()) {
+    auto& children = (*node)->children;
+    auto it = children.lower_bound(part);
+    if (it == children.end() || it->first != part) {
       auto dir = std::make_shared<Inode>();
       dir->type = InodeType::kDir;
-      node->children[part] = dir;
-      node = dir;
-    } else {
-      node = it->second;
+      it = children.emplace_hint(it, part, std::move(dir));
     }
+    node = &it->second;
   }
-  if (node->type != InodeType::kDir) {
-    return Status(Err::kExist, path + ": exists and is not a directory");
+  if ((*node)->type != InodeType::kDir) {
+    return Status(Err::kExist, std::string(path) + ": exists and is not a directory");
   }
-  return node;
+  return *node;
 }
 
-Result<std::shared_ptr<Inode>> Vfs::CreateDevice(const std::string& path, DevId dev) {
-  auto parent = ResolveParent(path);
+Result<std::shared_ptr<Inode>> Vfs::CreateDevice(std::string_view path, DevId dev) {
+  auto parent = WalkToParent(path);
   if (!parent.ok()) {
     return parent.status();
   }
-  auto& [dir, leaf] = parent.value();
   auto inode = std::make_shared<Inode>();
   inode->type = InodeType::kCharDev;
   inode->dev = dev;
-  dir->children[leaf] = inode;
+  parent->first->children.insert_or_assign(std::string(parent->second), inode);
   return inode;
 }
 
-Status Vfs::CreateSymlink(const std::string& path, const std::string& target) {
-  auto parent = ResolveParent(path);
+Status Vfs::CreateSymlink(std::string_view path, std::string_view target) {
+  auto parent = WalkToParent(path);
   if (!parent.ok()) {
     return parent.status();
   }
-  auto& [dir, leaf] = parent.value();
   auto inode = std::make_shared<Inode>();
   inode->type = InodeType::kSymlink;
   inode->symlink_target = target;
-  dir->children[leaf] = inode;
+  parent->first->children.insert_or_assign(std::string(parent->second), std::move(inode));
   return Status::Ok();
 }
 
-Status Vfs::Unlink(const std::string& path) {
-  auto parent = ResolveParent(path);
+Status Vfs::Unlink(std::string_view path) {
+  auto parent = WalkToParent(path);
   if (!parent.ok()) {
     return parent.status();
   }
-  auto& [dir, leaf] = parent.value();
-  auto it = dir->children.find(leaf);
-  if (it == dir->children.end()) {
-    return Status(Err::kNoEnt, path + ": no such file or directory");
+  auto& children = parent->first->children;
+  auto it = children.find(parent->second);
+  if (it == children.end()) {
+    return Status(Err::kNoEnt, std::string(path) + ": no such file or directory");
   }
   if (it->second->type == InodeType::kDir && !it->second->children.empty()) {
-    return Status(Err::kNotEmpty, path + ": directory not empty");
+    return Status(Err::kNotEmpty, std::string(path) + ": directory not empty");
   }
-  dir->children.erase(it);
+  children.erase(it);
   return Status::Ok();
 }
 

@@ -10,6 +10,8 @@
 #include <map>
 #include <memory>
 #include <string>
+#include <string_view>
+#include <utility>
 #include <vector>
 
 #include "src/util/result.h"
@@ -29,7 +31,8 @@ struct Inode {
   std::string data;                                     // File contents.
   std::string symlink_target;
   bool executable = false;
-  std::map<std::string, std::shared_ptr<Inode>> children;  // For directories.
+  // For directories. Transparent, so a path walk looks names up by view.
+  std::map<std::string, std::shared_ptr<Inode>, std::less<>> children;
   // Page-cache accounting: pages charged when the file was first read.
   bool in_page_cache = false;
 };
@@ -74,15 +77,20 @@ class Vfs {
 
   // Path resolution relative to root; "." and ".." are normalized,
   // symlinks followed (depth-limited).
-  Result<std::shared_ptr<Inode>> Resolve(const std::string& path) const;
-  bool Exists(const std::string& path) const { return Resolve(path).ok(); }
+  Result<std::shared_ptr<Inode>> Resolve(std::string_view path) const;
+  bool Exists(std::string_view path) const { return Resolve(path).ok(); }
 
-  Result<std::shared_ptr<Inode>> CreateFile(const std::string& path, std::string data = "",
+  // CreateFile/CreateDevice/CreateSymlink/Unlink walk once to the
+  // directory holding the path's last component (following symlinks, like
+  // Resolve) and act on that name. CreateDir is mkdir -p: it creates every
+  // missing component, takes each one literally ("." and ".." too) and
+  // follows no symlink.
+  Result<std::shared_ptr<Inode>> CreateFile(std::string_view path, std::string data = "",
                                             bool executable = false);
-  Result<std::shared_ptr<Inode>> CreateDir(const std::string& path);
-  Result<std::shared_ptr<Inode>> CreateDevice(const std::string& path, DevId dev);
-  Status CreateSymlink(const std::string& path, const std::string& target);
-  Status Unlink(const std::string& path);
+  Result<std::shared_ptr<Inode>> CreateDir(std::string_view path);
+  Result<std::shared_ptr<Inode>> CreateDevice(std::string_view path, DevId dev);
+  Status CreateSymlink(std::string_view path, std::string_view target);
+  Status Unlink(std::string_view path);
 
   // Mounts a synthesized filesystem at `path` ("proc", "sysfs", "tmpfs",
   // "devtmpfs"). The caller (syscall layer) checks config gating.
@@ -91,12 +99,13 @@ class Vfs {
 
   const std::shared_ptr<Inode>& root() const { return root_; }
 
-  // Splits "/a/b/c" -> parent inode of "c" + leaf name.
-  Result<std::pair<std::shared_ptr<Inode>, std::string>> ResolveParent(
-      const std::string& path) const;
-
  private:
-  Result<std::shared_ptr<Inode>> ResolveInternal(const std::string& path, int depth) const;
+  // Walks `path` from the root. Errors name `path` as given, or, when
+  // `names_parent`, as the normalized directory "/a/b/" a Create* walked.
+  Result<const std::shared_ptr<Inode>*> Walk(std::string_view path, int depth,
+                                             bool names_parent) const;
+  // The directory holding `path`'s last component, and that component.
+  Result<std::pair<Inode*, std::string_view>> WalkToParent(std::string_view path) const;
 
   std::shared_ptr<Inode> root_;
   std::vector<std::string> mounts_;

@@ -108,11 +108,11 @@ class Validator {
       return false;
     }
     if (!v->is_string()) {
-      Diag(v->offset, "\"" + std::string(key) + "\" must be a string");
+      Diag(v->offset, std::string("\"").append(key).append("\" must be a string"));
       return false;
     }
     if (required && v->str.empty()) {
-      Diag(v->offset, "\"" + std::string(key) + "\" must not be empty");
+      Diag(v->offset, std::string("\"").append(key).append("\" must not be empty"));
       return false;
     }
     *out = v->str;
@@ -122,12 +122,17 @@ class Validator {
   bool ReadNumberValue(const JsonValue& v, const char* key, double min_value,
                        double max_value, double* out) {
     if (!v.is_number()) {
-      Diag(v.offset, "\"" + std::string(key) + "\" must be a number");
+      Diag(v.offset, std::string("\"").append(key).append("\" must be a number"));
       return false;
     }
     if (v.number < min_value || v.number > max_value) {
-      Diag(v.offset, "\"" + std::string(key) + "\" out of range [" +
-                         FormatBound(min_value) + ", " + FormatBound(max_value) + "]");
+      Diag(v.offset, std::string("\"")
+                         .append(key)
+                         .append("\" out of range [")
+                         .append(FormatBound(min_value))
+                         .append(", ")
+                         .append(FormatBound(max_value))
+                         .append("]"));
       return false;
     }
     *out = v.number;
@@ -145,7 +150,7 @@ class Validator {
       return false;
     }
     if (value != std::floor(value)) {
-      Diag(v->offset, "\"" + std::string(key) + "\" must be an integer");
+      Diag(v->offset, std::string("\"").append(key).append("\" must be an integer"));
       return false;
     }
     *out = static_cast<int>(value);

@@ -80,7 +80,9 @@ class Vm {
   // the snapshot's immutable inputs — identical state by construction) and
   // verified against the snapshot's state digest; then the virtual timeline
   // is rebased so boot_report().to_init == snapshot.restore_ns, the launch
-  // cost a serving fleet actually pays. `faults` (non-owning, optional) is
+  // cost a serving fleet actually pays. The host pays for the replay: a
+  // restore costs a cold Boot() plus the digest (BM_VmRestore and
+  // BM_VmColdBoot in bench/host_microbench). `faults` (non-owning, optional) is
   // consulted at FaultSite::kSnapshotRestore before the replay — a corrupt
   // memory file fails the restore with kIo (retryable), and the caller
   // should report the failure to its SnapshotCache so the entry is

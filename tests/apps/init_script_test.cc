@@ -40,7 +40,7 @@ TEST(InitScriptTest, MetadataDrivesEnv) {
   ContainerImage image;
   image.app = "custom";
   image.entrypoint = {"/bin/custom", "--flag"};
-  image.env["A"] = "B";
+  image.env.emplace("A", "B");
   std::string script = GenerateInitScript(image);
   EXPECT_NE(script.find("env A=B"), std::string::npos);
   EXPECT_NE(script.find("exec /bin/custom --flag"), std::string::npos);

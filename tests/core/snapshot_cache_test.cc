@@ -181,7 +181,7 @@ TEST(QuarantineStormTest, ConcurrentSnapshotPutsFindsAndFailuresStayConsistent) 
   for (int t = 0; t < 8; ++t) {
     threads.emplace_back([&cache, t] {
       for (int i = 0; i < 200; ++i) {
-        const std::string key = "k" + std::to_string(i % 5);
+        const std::string key = std::string("k").append(std::to_string(i % 5));
         cache.Put(MakeSnapshot(key, 4 * kMiB));
         SnapshotCache::SnapshotPtr found = cache.Find(key);
         if (found != nullptr) {

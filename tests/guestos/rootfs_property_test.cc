@@ -1,7 +1,16 @@
-// Property test: the rootfs codec round-trips arbitrary content.
+// Property tests: the rootfs codec round-trips arbitrary content, and the
+// kernel's mount agrees with the FsSpec reference on mutated images.
 #include <gtest/gtest.h>
 
+#include <utility>
+#include <vector>
+
+#include "src/apps/manifest.h"
+#include "src/apps/rootfs_builder.h"
+#include "src/guestos/kernel.h"
 #include "src/guestos/rootfs.h"
+#include "src/kbuild/builder.h"
+#include "src/kconfig/presets.h"
 #include "src/util/prng.h"
 
 namespace lupine::guestos {
@@ -108,6 +117,211 @@ TEST_P(RootfsProperty, MountedTreeMatchesSpec) {
     auto inode = vfs.Resolve(path);
     ASSERT_TRUE(inode.ok()) << path;
     EXPECT_EQ(inode.value()->data, entry.data) << path;
+  }
+}
+
+// --- Mutation test of the rootfs mount --------------------------------------
+// Kernel::Boot reads and mounts an image in one pass; the reference is the
+// FsSpec path, MountRootfs(ParseRootfs(blob)) into a fresh Vfs. On every
+// top-20 app image and the bench image, mutated by flipped bytes,
+// truncations, shuffled records, duplicated paths and unknown type bytes,
+// the two must agree on the status, the console line, the dentry-cache
+// pages and the resulting tree.
+
+uint32_t GetU32At(const std::string& blob, size_t pos) {
+  uint32_t v = 0;
+  for (int i = 3; i >= 0; --i) {
+    v = (v << 8) | static_cast<uint8_t>(blob[pos + i]);
+  }
+  return v;
+}
+
+std::string U32(uint32_t v) {
+  std::string out;
+  for (int i = 0; i < 4; ++i) {
+    out.push_back(static_cast<char>((v >> (8 * i)) & 0xFF));
+  }
+  return out;
+}
+
+constexpr size_t kHeaderBytes = 8 + 4;  // Magic + record count.
+
+// A well-formed image's records, each as its bytes, in blob order.
+std::vector<std::string> SplitRecords(const std::string& blob) {
+  std::vector<std::string> records;
+  size_t pos = kHeaderBytes;
+  for (uint32_t i = 0, count = GetU32At(blob, 8); i < count; ++i) {
+    const size_t start = pos;
+    pos += 4 + GetU32At(blob, pos) + 3;
+    pos += 4 + GetU32At(blob, pos);
+    records.push_back(blob.substr(start, pos - start));
+  }
+  return records;
+}
+
+std::string Assemble(const std::string& blob, const std::vector<std::string>& records) {
+  std::string out = blob.substr(0, 8) + U32(static_cast<uint32_t>(records.size()));
+  for (const auto& record : records) {
+    out += record;
+  }
+  return out;
+}
+
+size_t TypeByteOffset(const std::string& record) { return 4 + GetU32At(record, 0); }
+
+std::string Mutate(const std::string& blob, Prng& rng) {
+  std::vector<std::string> records = SplitRecords(blob);
+  if (rng.NextBool(0.3)) {
+    for (size_t i = records.size(); i > 1; --i) {
+      std::swap(records[i - 1], records[rng.NextBelow(i)]);
+    }
+  }
+  if (!records.empty() && rng.NextBool(0.4)) {
+    // A second record for an existing path, of a random known type.
+    for (int n = 1 + static_cast<int>(rng.NextBelow(3)); n > 0; --n) {
+      std::string copy = records[rng.NextBelow(records.size())];
+      const size_t type_at = TypeByteOffset(copy);
+      copy[type_at] = static_cast<char>(rng.NextBelow(4));
+      copy[type_at + 1] = static_cast<char>(rng.NextBelow(5));
+      copy[type_at + 2] = static_cast<char>(rng.NextBelow(2));
+      copy = copy.substr(0, type_at + 3) + U32(3) + "dup";
+      records.insert(records.begin() + rng.NextBelow(records.size() + 1), copy);
+    }
+  }
+  if (!records.empty() && rng.NextBool(0.3)) {
+    std::string& record = records[rng.NextBelow(records.size())];
+    record[TypeByteOffset(record)] = static_cast<char>(4 + rng.NextBelow(252));
+  }
+  std::string out = Assemble(blob, records);
+  if (rng.NextBool(0.4)) {
+    for (int n = 1 + static_cast<int>(rng.NextBelow(4)); n > 0; --n) {
+      out[rng.NextBelow(out.size())] ^= static_cast<char>(1 + rng.NextBelow(255));
+    }
+  }
+  if (rng.NextBool(0.2)) {
+    out.resize(rng.NextBelow(out.size()));
+  }
+  return out;
+}
+
+// Every node under `node`: path, type, dev, executable flag and contents.
+void DumpTree(const Inode& node, const std::string& path, std::string& out) {
+  out += path + " t" + std::to_string(static_cast<int>(node.type)) + " d" +
+         std::to_string(static_cast<int>(node.dev)) + (node.executable ? " x " : " - ") +
+         std::to_string(node.data.size()) + ":" + node.data + " " +
+         std::to_string(node.symlink_target.size()) + ":" + node.symlink_target + "\n";
+  for (const auto& [name, child] : node.children) {
+    DumpTree(*child, path + "/" + name, out);
+  }
+}
+
+std::string Tree(const Vfs& vfs) {
+  std::string out;
+  DumpTree(*vfs.root(), "", out);
+  return out;
+}
+
+const kbuild::KernelImage& Image() {
+  static const kbuild::KernelImage image = [] {
+    auto built = kbuild::ImageBuilder().Build(kconfig::LupineGeneral());
+    EXPECT_TRUE(built.ok());
+    return built.take();
+  }();
+  return image;
+}
+
+constexpr Bytes kGuestMemory = 512 * kMiB;
+
+struct BootOutcome {
+  Status status;
+  std::string console;
+  uint64_t pages = 0;
+  std::string tree;
+};
+
+BootOutcome BootKernel(const std::string& blob) {
+  Kernel kernel(Image(), kGuestMemory);
+  BootOutcome out;
+  out.status = kernel.Boot(blob);
+  out.console = kernel.console().contents();
+  out.pages = kernel.mm().used_pages();
+  out.tree = Tree(kernel.vfs());
+  return out;
+}
+
+TEST(RootfsMutation, BootAgreesWithTheFsSpecMount) {
+  std::vector<std::string> blobs;
+  for (const auto& manifest : apps::Top20Manifests()) {
+    blobs.push_back(apps::BuildAppRootfsForApp(manifest.name, /*kml_libc=*/false));
+  }
+  blobs.push_back(apps::BuildBenchRootfs(/*kml_libc=*/false));
+
+  // What Boot adds around the mount: the console before it and the banner
+  // after it, the resident pages before the dentry cache, and the devtmpfs
+  // nodes after it.
+  const BootOutcome unreadable = BootKernel("");
+  ASSERT_EQ(unreadable.status.err(), Err::kInval);
+  const std::string kNoRoot = "VFS: Cannot open root device\n";
+  ASSERT_TRUE(unreadable.console.ends_with(kNoRoot));
+  const std::string before = unreadable.console.substr(0, unreadable.console.size() - kNoRoot.size());
+  const uint64_t resident = unreadable.pages;
+  const BootOutcome empty = BootKernel(FormatRootfs({}));
+  ASSERT_TRUE(empty.status.ok());
+  ASSERT_TRUE(empty.console.starts_with(before));
+  const std::string banner = empty.console.substr(before.size());
+  const bool devtmpfs = Image().features.devtmpfs;
+
+  Prng rng(20);
+  size_t booted = 0, unparsed = 0, unmounted = 0;
+  for (const std::string& original : blobs) {
+    for (int i = 0; i < 150; ++i) {
+      const std::string blob = Mutate(original, rng);
+      SCOPED_TRACE("mutant " + std::to_string(i) + " of a " + std::to_string(original.size()) +
+                   "-byte image");
+      const BootOutcome got = BootKernel(blob);
+
+      Vfs vfs;
+      auto spec = ParseRootfs(blob);
+      Status want = spec.ok() ? MountRootfs(spec.value(), vfs) : spec.status();
+      std::string console = before;
+      uint64_t pages = resident;
+      if (!spec.ok()) {
+        console += kNoRoot;
+        ++unparsed;
+      } else if (!want.ok()) {
+        ++unmounted;
+      } else {
+        ++booted;
+        pages += (spec.value().size() + 7) / 8;
+        if (devtmpfs) {
+          (void)vfs.CreateDir("/dev");
+          (void)vfs.CreateDevice("/dev/null", DevId::kNull);
+          (void)vfs.CreateDevice("/dev/zero", DevId::kZero);
+          (void)vfs.CreateDevice("/dev/urandom", DevId::kUrandom);
+          (void)vfs.CreateDevice("/dev/console", DevId::kConsole);
+        }
+        console += banner;
+      }
+      EXPECT_EQ(got.status.err(), want.err());
+      EXPECT_EQ(got.status.message(), want.message());
+      EXPECT_EQ(got.console, console);
+      EXPECT_EQ(got.pages, pages);
+      EXPECT_EQ(got.tree, Tree(vfs));
+    }
+  }
+  // Every outcome was exercised.
+  EXPECT_GT(booted, 100u);
+  EXPECT_GT(unparsed, 100u);
+  EXPECT_GT(unmounted, 0u);
+}
+
+TEST(RootfsMutation, HostileRecordCountIsRejected) {
+  std::string blob = FormatRootfs({});
+  for (uint32_t count : {1u, 0x10000u, 0xFFFFFFFFu}) {
+    blob.replace(8, 4, U32(count));
+    auto records = ReadRootfs(blob);
+    EXPECT_EQ(records.err(), Err::kInval);
+    EXPECT_EQ(records.status().message(), "truncated rootfs entry path");
   }
 }
 

@@ -76,7 +76,7 @@ TEST(JournalTest, ScheduleScopedEventsAreExcludedFromCanonicalExport) {
 TEST(JournalTest, RingDropsOldestPerSourceAndCountsIt) {
   Journal journal(/*ring_capacity=*/3);
   for (int i = 0; i < 5; ++i) {
-    journal.Emit(i, "fleet", "e" + std::to_string(i));
+    journal.Emit(i, "fleet", std::string("e").append(std::to_string(i)));
   }
   journal.Emit(0, "supervisor", "probe");  // Other sources unaffected.
   EXPECT_EQ(journal.size(), 4u);

@@ -96,7 +96,7 @@ TEST(JsonParseTest, DepthCapStopsRunawayNesting) {
 
 TEST(JsonParseTest, RoundTripsEscapedStrings) {
   const std::string raw = "tab\there \"quoted\" back\\slash \x01";
-  auto doc = ParseJson("\"" + JsonEscape(raw) + "\"");
+  auto doc = ParseJson(std::string("\"").append(JsonEscape(raw)).append("\""));
   ASSERT_TRUE(doc.ok());
   EXPECT_EQ(doc->str, raw);
 }
@@ -170,7 +170,7 @@ TEST(JsonParseTest, Utf8EscapeRoundTrip) {
   EXPECT_EQ(doc->str, "\xC3\xA9 \xE4\xB8\xAD \xF0\x9F\x98\x80");
   // ...and non-ASCII bytes pass through JsonEscape untouched, so the
   // decoded string re-embeds and re-parses to itself.
-  auto again = ParseJson("\"" + JsonEscape(doc->str) + "\"");
+  auto again = ParseJson(std::string("\"").append(JsonEscape(doc->str)).append("\""));
   ASSERT_TRUE(again.ok());
   EXPECT_EQ(again->str, doc->str);
 }
