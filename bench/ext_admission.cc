@@ -87,7 +87,7 @@ int main() {
     telemetry::MetricRegistry local_registry;
     telemetry::MetricRegistry& registry =
         std::string(scenario.name) == "queueing" ? queueing_registry : local_registry;
-    vmm::FleetAdmissionController admission({scenario.budget, 0});
+    vmm::FleetAdmissionController admission({scenario.budget});
     admission.set_metrics(&registry);
     cache.set_metrics(&registry);
 
@@ -136,7 +136,7 @@ int main() {
   // verdict with explicit threads so the exported booleans are stable.
   // Budget 1280 MiB: two full 512 MiB grants fit, a third degrades to its
   // 128 MiB floor, and a fourth (no floor) queues until a release drains it.
-  vmm::FleetAdmissionController mechanics({1280 * kMiB, 0});
+  vmm::FleetAdmissionController mechanics({1280 * kMiB});
   vmm::Grant g1 = mechanics.Admit({"svc-a", 512 * kMiB, 0});
   vmm::Grant g2 = mechanics.Admit({"svc-b", 512 * kMiB, 0});
   vmm::Grant g3 = mechanics.Admit({"svc-c", 512 * kMiB, 128 * kMiB});

@@ -4,7 +4,6 @@
 #include <cstring>
 
 #include "src/core/config_search.h"
-#include "src/kconfig/dotconfig.h"
 #include "src/kconfig/presets.h"
 #include "src/kconfig/resolver.h"
 

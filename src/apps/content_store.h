@@ -164,12 +164,6 @@ class ContentStore {
     return TrimLocked();
   }
 
-  void set_budget(CacheBudget budget) {
-    std::lock_guard lock(mu_);
-    budget_ = budget;
-    TrimLocked();
-  }
-
   // Non-owning; the journal must outlive the store.
   void set_journal(telemetry::Journal* journal) {
     std::lock_guard lock(mu_);

@@ -68,9 +68,6 @@ class RootfsCache {
   // Call at a snapshot point; gauges overwrite, so this is idempotent.
   void PublishMetrics(telemetry::MetricRegistry& registry) const;
 
-  // Replaces the retention budget and immediately evicts down to it.
-  void set_budget(CacheBudget budget) { store_.set_budget(budget); }
-
   // Optional, non-owning flight-recorder sink: hit/miss/evict/invalidate
   // events under source "rootfs-cache" (schedule-scoped: full export /
   // Perfetto only). The journal must outlive the cache.

@@ -80,7 +80,9 @@ const std::vector<ErrorHint>& ConsoleErrorHints() {
   return hints;
 }
 
-Result<SearchResult> DeriveMinimalConfig(const std::string& app, const SearchOptions& options) {
+Result<SearchResult> DeriveMinimalConfig(const std::string& app) {
+  constexpr int kMaxBoots = 64;
+  constexpr Bytes kMemory = 512 * kMiB;
   apps::RegisterBuiltinApps();
   const apps::AppManifest* manifest = apps::FindManifest(app);
   if (manifest == nullptr) {
@@ -92,10 +94,10 @@ Result<SearchResult> DeriveMinimalConfig(const std::string& app, const SearchOpt
   kconfig::Resolver resolver(kconfig::OptionDb::Linux40());
 
   SearchResult result;
-  for (int boot = 0; boot < options.max_boots; ++boot) {
+  for (int boot = 0; boot < kMaxBoots; ++boot) {
     bool ok = false;
     ++result.boots;
-    std::string console = TryBoot(config, *manifest, options.memory, &ok);
+    std::string console = TryBoot(config, *manifest, kMemory, &ok);
     if (ok) {
       result.success = true;
       return result;

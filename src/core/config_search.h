@@ -31,14 +31,9 @@ struct SearchResult {
   std::string failure;                     // Last console tail when !success.
 };
 
-struct SearchOptions {
-  int max_boots = 64;
-  Bytes memory = 512 * kMiB;
-};
-
-// Derives the options `app` needs beyond lupine-base.
-Result<SearchResult> DeriveMinimalConfig(const std::string& app,
-                                         const SearchOptions& options = {});
+// Derives the options `app` needs beyond lupine-base, booting it with 512 MiB
+// at most 64 times.
+Result<SearchResult> DeriveMinimalConfig(const std::string& app);
 
 }  // namespace lupine::core
 

@@ -209,7 +209,7 @@ AttemptResult RunBootAttempt(KernelCache& cache, const BootTask& task,
                     telemetry::FieldValue{static_cast<uint64_t>(snapshot->restore_ns)}}});
   } else {
     vm = (*artifact)->Launch(memory, injector.armed() ? &injector : nullptr);
-    DeadlineGuard boot_guard(vm->kernel().clock(), "boot", options.boot_deadline);
+    DeadlineGuard boot_guard(vm->kernel().clock(), options.boot_deadline);
     if (Status s = vm->Boot(); !s.ok()) {
       // Failed boots charge the task the virtual instant the guest died —
       // or the deadline, had the monitor's timer fired first.

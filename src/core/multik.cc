@@ -2,7 +2,6 @@
 
 #include <cassert>
 #include <functional>
-#include <sstream>
 #include <utility>
 
 #include "src/apps/builtin.h"
@@ -10,21 +9,6 @@
 #include "src/kbuild/builder.h"
 
 namespace lupine::core {
-namespace {
-
-// Distinguishes per-call BuildOptions in the artifact key so the same app
-// built with different knobs never aliases one cache entry.
-std::string OptionsKey(const BuildOptions& options) {
-  std::ostringstream key;
-  key << options.kml << options.tiny << options.general_config << options.batch_general
-      << ';' << options.panic_timeout << ';';
-  for (const auto& option : options.extra_options) {
-    key << option << ',';
-  }
-  return key.str();
-}
-
-}  // namespace
 
 std::unique_ptr<vmm::Vm> KernelCache::AppArtifact::Launch(Bytes memory,
                                                           FaultInjector* faults) const {
@@ -73,23 +57,12 @@ KernelCache::KernelCache(BuildOptions options, CacheBudget artifact_budget,
           kernel_budget) {}
 
 Result<KernelCache::ArtifactPtr> KernelCache::GetOrBuild(const std::string& app) {
-  return GetOrBuildKeyed(app, app, options_);
-}
-
-Result<KernelCache::ArtifactPtr> KernelCache::GetOrBuild(const std::string& app,
-                                                         const BuildOptions& options) {
-  return GetOrBuildKeyed(app + '\x1f' + OptionsKey(options), app, options);
-}
-
-Result<KernelCache::ArtifactPtr> KernelCache::GetOrBuildKeyed(const std::string& key,
-                                                              const std::string& app,
-                                                              const BuildOptions& options) {
   Count("kernelcache.requests");
   {
     // Quarantine gate: a poisoned key fails fast instead of handing a
     // known-bad artifact to yet another worker.
     std::lock_guard lock(mu_);
-    switch (quarantine_.Check(key, quarantine_now_())) {
+    switch (quarantine_.Check(app, quarantine_now_())) {
       case Quarantine::Gate::kDenied:
         ++quarantine_denials_;
         Count("kernelcache.quarantine_denials");
@@ -98,7 +71,7 @@ Result<KernelCache::ArtifactPtr> KernelCache::GetOrBuildKeyed(const std::string&
                                         " kept failing after a rebuild; poisoned until TTL");
       case Quarantine::Gate::kProbe:
         // TTL expired: half-open. Grant one fresh rebuild cycle.
-        quarantine_.Forget(key);
+        quarantine_.Forget(app);
         EmitJournal("half-open", app);
         break;
       case Quarantine::Gate::kOpen:
@@ -106,9 +79,9 @@ Result<KernelCache::ArtifactPtr> KernelCache::GetOrBuildKeyed(const std::string&
     }
   }
   bool built = false;
-  auto artifact = artifacts_.GetOrCompute(key, [&] {
+  auto artifact = artifacts_.GetOrCompute(app, [&] {
     built = true;
-    return BuildArtifact(key, app, options);
+    return BuildArtifact(app);
   });
   if (built) {
     // The new artifact pins its kernel; the artifact tier trimmed on
@@ -120,14 +93,12 @@ Result<KernelCache::ArtifactPtr> KernelCache::GetOrBuildKeyed(const std::string&
   return artifact;
 }
 
-Result<KernelCache::ArtifactPtr> KernelCache::BuildArtifact(const std::string& key,
-                                                            const std::string& app,
-                                                            const BuildOptions& options) {
+Result<KernelCache::ArtifactPtr> KernelCache::BuildArtifact(const std::string& app) {
   // This flight's host-wall provisioning timeline: specialize/resolve from
   // SpecializeConfig, `build` only when this flight really built the kernel,
   // `load-rootfs` below. Rides on the artifact for bench exemplars.
   auto provisioning = std::make_shared<telemetry::SpanTrace>();
-  auto specialized = SpecializeForApp(app, options, provisioning.get());
+  auto specialized = SpecializeForApp(app, provisioning.get());
   if (!specialized.ok()) {
     return specialized.status();
   }
@@ -153,7 +124,7 @@ Result<KernelCache::ArtifactPtr> KernelCache::BuildArtifact(const std::string& k
   // through the content-addressed rootfs cache.
   apps::ContainerImage image = apps::MakeAlpineImage(*spec.manifest);
   apps::RootfsOptions rootfs_options;
-  rootfs_options.kml_libc = options.kml;
+  rootfs_options.kml_libc = options_.kml;
   auto artifact = std::make_shared<AppArtifact>();
   artifact->kernel = std::shared_ptr<const kbuild::KernelImage>(kernel, &kernel->image);
   artifact->boot_plan = std::shared_ptr<const guestos::BootPlan>(kernel, &kernel->boot_plan);
@@ -172,7 +143,7 @@ Result<KernelCache::ArtifactPtr> KernelCache::BuildArtifact(const std::string& k
   artifact->provisioning = std::move(provisioning);
 
   std::lock_guard lock(mu_);
-  app_kernel_bytes_[key] = kernel->image.size;
+  app_kernel_bytes_[app] = kernel->image.size;
   if (spec.general_kernel) {
     ++general_served_;
   }
@@ -180,13 +151,12 @@ Result<KernelCache::ArtifactPtr> KernelCache::BuildArtifact(const std::string& k
 }
 
 Result<KernelCache::Specialization> KernelCache::SpecializeForApp(
-    const std::string& app, const BuildOptions& options,
-    telemetry::SpanTrace* provisioning) {
+    const std::string& app, telemetry::SpanTrace* provisioning) {
   const apps::AppManifest* manifest = apps::FindManifest(app);
   if (manifest == nullptr) {
     return Status(Err::kNoEnt, "no manifest for application " + app);
   }
-  auto specialized = builder_.SpecializeConfig(*manifest, options, provisioning);
+  auto specialized = builder_.SpecializeConfig(*manifest, options_, provisioning);
   if (!specialized.ok()) {
     return specialized.status();
   }
@@ -197,8 +167,8 @@ Result<KernelCache::Specialization> KernelCache::SpecializeForApp(
   // lupine-general and, if so, build/serve the shared general kernel
   // instead. The proof is per-app — an extra option outside the general
   // union falls back to the specialized build.
-  if (options.batch_general && !options.general_config) {
-    BuildOptions general_options = options;
+  if (options_.batch_general && !options_.general_config) {
+    BuildOptions general_options = options_;
     general_options.general_config = true;
     general_options.batch_general = false;
     general_options.extra_options.clear();
@@ -244,7 +214,7 @@ Result<KernelCache::KernelPtr> KernelCache::EnsureKernel(const kconfig::Config& 
 }
 
 Result<KernelCache::ProvisionPlan> KernelCache::PlanProvisioning(const std::string& app) {
-  auto specialized = SpecializeForApp(app, options_, nullptr);
+  auto specialized = SpecializeForApp(app, nullptr);
   if (!specialized.ok()) {
     return specialized.status();
   }
@@ -266,7 +236,7 @@ Result<KernelCache::ProvisionPlan> KernelCache::PlanProvisioning(const std::stri
 }
 
 Status KernelCache::PrewarmKernel(const std::string& app) {
-  auto specialized = SpecializeForApp(app, options_, nullptr);
+  auto specialized = SpecializeForApp(app, nullptr);
   if (!specialized.ok()) {
     return specialized.status();
   }
@@ -353,13 +323,6 @@ void KernelCache::set_quarantine(QuarantinePolicy policy) {
 void KernelCache::set_quarantine_clock(std::function<Nanos()> now) {
   std::lock_guard lock(mu_);
   quarantine_now_ = std::move(now);
-}
-
-void KernelCache::set_budgets(CacheBudget artifact_budget, CacheBudget kernel_budget) {
-  // Artifacts first: each artifact pins its kernel image, so dropping stale
-  // artifacts is what makes stale kernels evictable at all.
-  artifacts_.set_budget(artifact_budget);
-  kernels_.set_budget(kernel_budget);
 }
 
 KernelCache::Stats KernelCache::stats() const {

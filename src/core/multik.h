@@ -13,7 +13,7 @@
 //
 // The cache is thread-safe, with two ContentStore tiers (apps/content_store.h)
 // single-flighting builds at two levels: concurrent GetOrBuild("node") calls
-// produce exactly one build (the artifact tier, keyed per app and options),
+// produce exactly one build (the artifact tier, keyed by app),
 // and concurrent requests for *different* apps whose specialized
 // configurations fingerprint identically (e.g. the zero-extra-option
 // language runtimes of Table 3) also share one kernel build (the kernel
@@ -86,11 +86,9 @@ class KernelCache {
   using ArtifactPtr = std::shared_ptr<const AppArtifact>;
 
   // Builds (or reuses) the specialized kernel for `app` with the cache's
-  // default build options. Safe to call from multiple threads; concurrent
-  // duplicate requests wait on one build.
+  // build options. Safe to call from multiple threads; concurrent duplicate
+  // requests wait on one build.
   Result<ArtifactPtr> GetOrBuild(const std::string& app);
-  // Same, with per-call build options (keyed separately from the defaults).
-  Result<ArtifactPtr> GetOrBuild(const std::string& app, const BuildOptions& options);
 
   // --- Staged provisioning --------------------------------------------------
   // GetOrBuild runs the whole chain (specialize -> kernel -> rootfs) as one
@@ -127,14 +125,14 @@ class KernelCache {
     Nanos rootfs_cost = 0;  // Modeled cost if the rootfs stage is cold.
   };
 
-  // Computes the plan for `app` under the default build options. Pure
+  // Computes the plan for `app` under the cache's build options. Pure
   // planning: no request/hit counters move, the quarantine gate is not
   // consulted, and nothing is built — safe to call while deciding what to
   // schedule without perturbing the stats storm tests assert on.
   Result<ProvisionPlan> PlanProvisioning(const std::string& app);
 
-  // Stage executors (default build options). Each builds its stage at most
-  // once fleet-wide (kernel builds single-flight with GetOrBuild's own
+  // Stage executors (the cache's build options). Each builds its stage at
+  // most once fleet-wide (kernel builds single-flight with GetOrBuild's own
   // kernel path; the rootfs cache single-flights internally) and is a cheap
   // no-op when the stage is already resident.
   Status PrewarmKernel(const std::string& app);
@@ -144,14 +142,13 @@ class KernelCache {
   const ProvisionCostModel& provision_costs() const { return provision_costs_; }
 
   // --- Quarantine -----------------------------------------------------------
-  // Launch-failure feedback from fleet members: `app` (default-keyed, the
-  // fleet path's GetOrBuild(app) counterpart) booted from its artifact and
-  // failed. Drives util/retry.h's Quarantine: the first failure drops the
-  // cached artifact and its rootfs blob so the next request rebuilds from
-  // scratch (maybe the build was the problem); a failure after the rebuild
-  // poisons the key — GetOrBuild fails fast with kAccess ("quarantined")
-  // until the TTL passes, and then one probe request gets a fresh rebuild
-  // cycle.
+  // Launch-failure feedback from fleet members: `app` booted from its
+  // artifact and failed. Drives util/retry.h's Quarantine: the first
+  // failure drops the cached artifact and its rootfs blob so the next
+  // request rebuilds from scratch (maybe the build was the problem); a
+  // failure after the rebuild poisons the key — GetOrBuild fails fast with
+  // kAccess ("quarantined") until the TTL passes, and then one probe
+  // request gets a fresh rebuild cycle.
   void ReportLaunchFailure(const std::string& app);
   // True when `status` is a quarantine denial from GetOrBuild.
   static bool IsQuarantineDenial(const Status& status) {
@@ -165,7 +162,7 @@ class KernelCache {
   struct Stats {
     size_t requests = 0;          // GetOrBuild calls.
     size_t builds = 0;            // Kernel builds (fingerprint misses).
-    size_t apps = 0;              // Distinct artifact keys ever served.
+    size_t apps = 0;              // Distinct apps ever served.
     size_t distinct_kernels = 0;  // Kernel images currently stored.
     Bytes bytes_if_unshared = 0;  // Sum of per-app image sizes without sharing.
     Bytes bytes_stored = 0;       // Sum of distinct stored image sizes.
@@ -193,9 +190,9 @@ class KernelCache {
   void set_metrics(telemetry::MetricRegistry* metrics) { metrics_ = metrics; }
 
   // Optional, non-owning flight-recorder sink: cache decisions (hit, miss,
-  // evict and invalidate from both tiers, keyed by artifact key or
-  // fingerprint; quarantine rebuild/poison/half-open/denial by app) land as
-  // journal events under source "kernel-cache" (the rootfs side gets the
+  // evict and invalidate from both tiers, keyed by app or fingerprint;
+  // quarantine rebuild/poison/half-open/denial by app) land as journal
+  // events under source "kernel-cache" (the rootfs side gets the
   // sink too, under "rootfs-cache"). Cache interleaving is host-timing
   // dependent, so the events are schedule-scoped (full export / Perfetto
   // only). Set before the first GetOrBuild; the journal must outlive the
@@ -212,9 +209,6 @@ class KernelCache {
   apps::RootfsCache& rootfs_cache() { return rootfs_cache_; }
   apps::RootfsCache::Stats rootfs_stats() const { return rootfs_cache_.stats(); }
 
-  // Replaces the retention budgets and immediately evicts down to them.
-  void set_budgets(CacheBudget artifact_budget, CacheBudget kernel_budget);
-
   // The cache key: a canonical fingerprint of the enabled option set and
   // build knobs (what makes two kernels byte-identical in this model).
   static std::string ConfigFingerprint(const kconfig::Config& config);
@@ -228,12 +222,9 @@ class KernelCache {
   };
   using KernelPtr = std::shared_ptr<const KernelEntry>;
 
-  Result<ArtifactPtr> GetOrBuildKeyed(const std::string& key, const std::string& app,
-                                      const BuildOptions& options);
   // The artifact tier's compute: specialize, ensure the kernel, load the
   // rootfs. Lock-free apart from the accounting at the end.
-  Result<ArtifactPtr> BuildArtifact(const std::string& key, const std::string& app,
-                                    const BuildOptions& options);
+  Result<ArtifactPtr> BuildArtifact(const std::string& app);
 
   // The front half of provisioning, shared by BuildArtifact and the staged
   // API: manifest lookup, SpecializeConfig, the batch-general subset proof,
@@ -245,7 +236,6 @@ class KernelCache {
     std::string fingerprint;
   };
   Result<Specialization> SpecializeForApp(const std::string& app,
-                                          const BuildOptions& options,
                                           telemetry::SpanTrace* provisioning);
   // The kernel stage: serve `fingerprint` from the kernel tier, join its
   // flight, or build `config` and publish. `provisioning` (optional)
@@ -257,8 +247,8 @@ class KernelCache {
   // mu_: the journal's own mutex is a leaf.
   void EmitJournal(const char* type, const std::string& app) const;
   void Count(const char* counter) const;
-  // Drops the cached artifact + rootfs blob for `app` (default key) so the
-  // next GetOrBuild rebuilds from scratch.
+  // Drops the cached artifact + rootfs blob for `app` so the next
+  // GetOrBuild rebuilds from scratch.
   void DropForRebuild(const std::string& app);
 
   BuildOptions options_;
@@ -268,17 +258,17 @@ class KernelCache {
   telemetry::Journal* journal_ = nullptr;
   ProvisionCostModel provision_costs_;
 
-  apps::ContentStore<AppArtifact> artifacts_;  // By artifact key.
+  apps::ContentStore<AppArtifact> artifacts_;  // By app.
   apps::ContentStore<KernelEntry> kernels_;    // By fingerprint.
 
   // Guards everything below. Taken before a store's lock, never after.
   mutable std::mutex mu_;
-  // Every artifact key ever served -> the size of its kernel image; survives
+  // Every app ever served -> the size of its kernel image; survives
   // eviction so bytes_if_unshared reflects the whole fleet, not the
   // currently-resident slice.
   std::map<std::string, Bytes> app_kernel_bytes_;
   size_t general_served_ = 0;
-  // Quarantine state, keyed like the artifact tier (default key = app name).
+  // Quarantine state, keyed like the artifact tier (by app).
   Quarantine quarantine_;
   std::function<Nanos()> quarantine_now_ = SteadyNanos;
   size_t quarantine_failures_ = 0;

@@ -117,9 +117,6 @@ class SnapshotCache {
   // Idempotent — call at a snapshot point (end of a serving run).
   void PublishMetrics(telemetry::MetricRegistry& registry) const;
 
-  // Replaces the retention budget and immediately evicts down to it.
-  void set_budget(CacheBudget budget) { store_.set_budget(budget); }
-
  private:
   void Count(const char* counter) const;
   void EmitJournal(const char* type, const std::string& key,

@@ -1,7 +1,6 @@
 #include "src/guestos/kernel.h"
 
 #include "src/guestos/syscall_api.h"
-#include "src/util/log.h"
 
 namespace lupine::guestos {
 namespace {

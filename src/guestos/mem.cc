@@ -2,8 +2,6 @@
 
 #include <algorithm>
 
-#include "src/util/log.h"
-
 namespace lupine::guestos {
 
 Status MemoryManager::AllocatePages(uint64_t pages, const char* tag) {
@@ -11,8 +9,6 @@ Status MemoryManager::AllocatePages(uint64_t pages, const char* tag) {
     return Status(Err::kNoMem, std::string("out of memory (injected): ") + tag);
   }
   if ((used_pages_ + pages) * kPageSize > limit_) {
-    LOG_DEBUG << "OOM allocating " << pages << " pages for " << tag << " (used "
-              << used() / kKiB << " KiB of " << limit_ / kKiB << " KiB)";
     return Status(Err::kNoMem, std::string("out of memory: ") + tag);
   }
   used_pages_ += pages;
@@ -144,11 +140,6 @@ uint64_t AddressSpace::page_table_pages() const {
     total += (vma.num_pages + 511) / 512;
   }
   return total;
-}
-
-const Vma* AddressSpace::FindVma(int vma_id) const {
-  auto it = vmas_.find(vma_id);
-  return it == vmas_.end() ? nullptr : &it->second;
 }
 
 }  // namespace lupine::guestos

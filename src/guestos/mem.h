@@ -99,7 +99,6 @@ class AddressSpace {
   uint64_t resident_pages() const;
   uint64_t page_table_pages() const;
   size_t vma_count() const { return vmas_.size(); }
-  const Vma* FindVma(int vma_id) const;
 
  private:
   MemoryManager* mm_;

@@ -35,7 +35,6 @@ class SyscallApi {
   // Burns user-mode CPU (workload inner loops).
   void Compute(Nanos cpu);
   Process* CurrentProcess() const;
-  Thread* CurrentThread() const;
 
   // ---- Identity / time --------------------------------------------------------
   Result<int> Getpid();

@@ -105,8 +105,6 @@ Process* SyscallApi::CurrentProcess() const {
   return t == nullptr ? nullptr : t->process();
 }
 
-Thread* SyscallApi::CurrentThread() const { return k_->sched().current(); }
-
 bool SyscallApi::CurrentIsFree() const {
   Process* p = CurrentProcess();
   return p != nullptr && p->free_run;

@@ -4,14 +4,11 @@
 
 namespace lupine::kbuild {
 
-Result<KernelImage> ImageBuilder::Build(const kconfig::Config& config,
-                                        const BuildOptions& options) const {
+Result<KernelImage> ImageBuilder::Build(const kconfig::Config& config) const {
   const auto& db = *db_;
-  if (options.validate) {
-    kconfig::Resolver resolver(db);
-    if (Status s = resolver.Validate(config); !s.ok()) {
-      return Status(s.err(), "kernel build failed: " + s.message());
-    }
+  kconfig::Resolver resolver(db);
+  if (Status s = resolver.Validate(config); !s.ok()) {
+    return Status(s.err(), "kernel build failed: " + s.message());
   }
 
   KernelImage image;

@@ -13,21 +13,16 @@
 
 namespace lupine::kbuild {
 
-struct BuildOptions {
-  // Fails the build when the config does not validate against the database
-  // (missing deps, conflicts). Always on in production; tests may disable.
-  bool validate = true;
-};
-
 class ImageBuilder {
  public:
   // Builds against the synthetic Linux 4.0 tree by default; pass a custom
-  // database (e.g. parsed from Kconfig text) for user-defined trees.
+  // database for user-defined trees.
   explicit ImageBuilder(const kconfig::OptionDb* db = nullptr)
       : db_(db != nullptr ? db : &kconfig::OptionDb::Linux40()) {}
 
-  Result<KernelImage> Build(const kconfig::Config& config,
-                            const BuildOptions& options = {}) const;
+  // Fails when the config does not validate against the database (missing
+  // deps, conflicts).
+  Result<KernelImage> Build(const kconfig::Config& config) const;
 
   // Size attributable to each taxonomy class in `config` (ablation bench).
   Bytes SizeOfClass(const kconfig::Config& config, kconfig::OptionClass cls) const;

@@ -100,7 +100,7 @@ KernelFeatures DeriveFeatures(const kconfig::Config& config, const kconfig::Opti
   if (config.IsEnabledId(id.panic_timeout)) {
     // Valued option; a bare "y" (no explicit value) means the stock default 0.
     // Copied to a std::string before parsing — ValueOfId's view dies on the
-    // next side-table mutation (see Config::GetValue's lifetime note).
+    // next side-table mutation (see Config::ValueOfId's lifetime note).
     const std::string value(config.ValueOfId(id.panic_timeout));
     char* end = nullptr;
     long timeout = std::strtol(value.c_str(), &end, 10);

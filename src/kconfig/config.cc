@@ -54,11 +54,6 @@ void Config::SetValue(const std::string& option, const std::string& value) {
   }
 }
 
-std::string_view Config::GetValue(const std::string& option) const {
-  OptionId id = OptionInterner::Global().Find(option);
-  return id == kNoOption ? std::string_view() : ValueOfId(id);
-}
-
 void Config::EnableId(OptionId id) {
   if (!bits::Test(present_, id)) {
     bits::Set(present_, id);
@@ -90,16 +85,6 @@ std::vector<OptionId> Config::EnabledIdsByName() const {
   return ids;
 }
 
-std::vector<std::string> Config::EnabledOptions() const {
-  const auto& interner = OptionInterner::Global();
-  std::vector<std::string> out;
-  out.reserve(present_count_);
-  for (OptionId id : EnabledIdsByName()) {
-    out.push_back(interner.NameOf(id));
-  }
-  return out;
-}
-
 std::vector<std::string> Config::Minus(const Config& other) const {
   const auto& interner = OptionInterner::Global();
   std::vector<std::string> out;
@@ -109,23 +94,6 @@ std::vector<std::string> Config::Minus(const Config& other) const {
     }
   }
   return out;
-}
-
-void Config::UnionWith(const Config& other) {
-  ForEachBit(other.enabled_, [&](OptionId id) {
-    if (!bits::Test(present_, id)) {
-      bits::Set(present_, id);
-      ++present_count_;
-    }
-    bits::Set(enabled_, id);
-    auto it = other.valued_.find(id);
-    if (it == other.valued_.end()) {
-      valued_.erase(id);
-    } else {
-      valued_[id] = it->second;
-    }
-  });
-  ++value_generation_;
 }
 
 bool Config::IsSubsetOf(const Config& other) const {
@@ -143,11 +111,6 @@ bool Config::IsSubsetOf(const Config& other) const {
     }
   });
   return subset;
-}
-
-bool Config::operator==(const Config& other) const {
-  return present_count_ == other.present_count_ && bits::Equal(present_, other.present_) &&
-         valued_ == other.valued_;
 }
 
 }  // namespace lupine::kconfig

@@ -39,20 +39,19 @@ class Config {
 
   // Valued options (ints / strings); also marks the option enabled.
   void SetValue(const std::string& option, const std::string& value);
-  // View into the stored value ("y" for plain-enabled options, "" when the
-  // option is absent).
-  //
-  // LIFETIME: the view aliases the side-table entry. Any mutator that can
-  // touch the side table (SetValue, Disable, EnableId/Enable, UnionWith)
-  // invalidates it — rehashing or erasure frees the backing string. Copy
-  // into a std::string before mutating, as DeriveFeatures does for
-  // PANIC_TIMEOUT. value_generation() snapshots let debug builds assert a
-  // view was not held across a mutation (see ValueViewGuard).
-  std::string_view GetValue(const std::string& option) const;
 
   // Id-based hot path (used by Resolver, ImageBuilder, feature derivation).
   void EnableId(OptionId id);
   bool IsEnabledId(OptionId id) const { return bits::Test(enabled_, id); }
+  // View into the stored value ("y" for plain-enabled options, "" when the
+  // option is absent).
+  //
+  // LIFETIME: the view aliases the side-table entry. Any mutator that can
+  // touch the side table (SetValue, Disable, EnableId/Enable) invalidates
+  // it — rehashing or erasure frees the backing string. Copy into a
+  // std::string before mutating, as DeriveFeatures does for PANIC_TIMEOUT.
+  // value_generation() snapshots let debug builds assert a view was not
+  // held across a mutation (see ValueViewGuard).
   std::string_view ValueOfId(OptionId id) const;
   // Enabled ids in ascending id order.
   std::vector<OptionId> EnabledIds() const;
@@ -63,8 +62,6 @@ class Config {
   const std::vector<uint64_t>& enabled_bits() const { return enabled_; }
 
   size_t EnabledCount() const { return present_count_; }
-  // Enabled option names, sorted lexicographically.
-  std::vector<std::string> EnabledOptions() const;
 
   CompileMode compile_mode() const { return compile_mode_; }
   void set_compile_mode(CompileMode mode) { compile_mode_ = mode; }
@@ -78,8 +75,6 @@ class Config {
   // Set algebra used by the configuration-diversity analysis (Fig. 5).
   // Options present in `this` but not in `other`, sorted lexicographically.
   std::vector<std::string> Minus(const Config& other) const;
-  // Adds every option of `other` (values from `other` win on clash).
-  void UnionWith(const Config& other);
 
   // True when a kernel built from `other` can serve this configuration:
   // every enabled option of `this` is enabled in `other` with an identical
@@ -88,11 +83,9 @@ class Config {
   // lupine-general before substituting the shared kernel.
   bool IsSubsetOf(const Config& other) const;
 
-  bool operator==(const Config& other) const;
-
-  // Bumped by every mutation that can invalidate GetValue/ValueOfId views
-  // (side-table writes, erasures, bulk unions). Debug-time detection of
-  // use-after-mutation on the returned string_views.
+  // Bumped by every mutation that can invalidate ValueOfId views (side-table
+  // writes and erasures). Debug-time detection of use-after-mutation on the
+  // returned string_views.
   uint64_t value_generation() const { return value_generation_; }
 
  private:
@@ -110,7 +103,7 @@ class Config {
 };
 
 // Asserts (in debug builds) that a Config was not mutated while a value view
-// was live. Construct right after GetValue/ValueOfId; Check() fails once any
+// was live. Construct right after ValueOfId; Check() fails once any
 // side-table mutation happened on the watched Config.
 class ValueViewGuard {
  public:

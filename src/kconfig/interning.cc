@@ -48,11 +48,6 @@ OptionId OptionInterner::Find(std::string_view name) const {
   return it == ids_.end() ? kNoOption : it->second;
 }
 
-size_t OptionInterner::size() const {
-  std::shared_lock lock(mu_);
-  return size_;
-}
-
 void OptionInterner::SortByName(std::vector<OptionId>& ids) const {
   const auto by_rank = [this](OptionId a, OptionId b) { return rank_[a] < rank_[b]; };
   {

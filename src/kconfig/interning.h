@@ -1,7 +1,7 @@
 // Process-wide interning of configuration option names.
 //
 // Every option name that enters the system (database registration, Config
-// mutation, .config parsing) is mapped to a dense integer OptionId. The hot
+// mutation) is mapped to a dense integer OptionId. The hot
 // paths — Config membership tests, dependency resolution, image sizing —
 // operate on these ids with bitsets and vectors instead of hashing
 // std::string keys at every step. Ids are process-global (not per-database),
@@ -25,8 +25,8 @@ namespace lupine::kconfig {
 using OptionId = uint32_t;
 inline constexpr OptionId kNoOption = 0xFFFFFFFFu;
 
-// Thread-safe append-only string table. Intern, Find and size take the
-// table's lock; NameOf takes none. Names live in geometric segments that
+// Thread-safe append-only string table. Intern and Find take the table's
+// lock; NameOf takes none. Names live in geometric segments that
 // never move: segment k holds the next 1024 << k ids, is allocated on first
 // use and is reached through a fixed array of atomic segment pointers, so
 // every id below kNoOption has a slot. Each name is constructed in its slot
@@ -59,8 +59,6 @@ class OptionInterner {
     const Slot slot = Locate(id);
     return segments_[slot.segment].load(std::memory_order_acquire)[slot.offset];
   }
-
-  size_t size() const;
 
   // Sorts `ids` by name, ranking any id no earlier call has ranked. Every id
   // must have been returned by Intern.
@@ -135,23 +133,6 @@ inline bool Intersects(const std::vector<uint64_t>& a, const std::vector<uint64_
     }
   }
   return false;
-}
-
-// Equality modulo trailing zero words.
-inline bool Equal(const std::vector<uint64_t>& a, const std::vector<uint64_t>& b) {
-  const auto& shorter = a.size() <= b.size() ? a : b;
-  const auto& longer = a.size() <= b.size() ? b : a;
-  for (size_t i = 0; i < shorter.size(); ++i) {
-    if (shorter[i] != longer[i]) {
-      return false;
-    }
-  }
-  for (size_t i = shorter.size(); i < longer.size(); ++i) {
-    if (longer[i] != 0) {
-      return false;
-    }
-  }
-  return true;
 }
 
 }  // namespace bits

@@ -11,32 +11,13 @@ uint64_t OptionDb::NextSerial() {
 
 OptionDb::OptionDb() : serial_(NextSerial()) {}
 
-OptionDb::OptionDb(const OptionDb& other)
-    : options_(other.options_),
-      edges_(other.edges_),
-      index_(other.index_),
-      id_index_(other.id_index_),
-      serial_(NextSerial()) {}
-
-OptionDb& OptionDb::operator=(const OptionDb& other) {
-  if (this != &other) {
-    options_ = other.options_;
-    edges_ = other.edges_;
-    index_ = other.index_;
-    id_index_ = other.id_index_;
-    serial_ = NextSerial();
-  }
-  return *this;
-}
-
 bool OptionDb::Add(OptionInfo info) {
-  auto [it, inserted] = index_.try_emplace(info.name, options_.size());
-  if (!inserted) {
-    return false;
-  }
   auto& interner = OptionInterner::Global();
   OptionEdges edges;
   edges.self = interner.Intern(info.name);
+  if (!id_index_.try_emplace(edges.self, options_.size()).second) {
+    return false;
+  }
   edges.depends_on.reserve(info.depends_on.size());
   for (const auto& dep : info.depends_on) {
     edges.depends_on.push_back(interner.Intern(dep));
@@ -49,18 +30,9 @@ bool OptionDb::Add(OptionInfo info) {
   for (const auto& conflict : info.conflicts) {
     edges.conflicts.push_back(interner.Intern(conflict));
   }
-  id_index_.emplace(edges.self, options_.size());
   edges_.push_back(std::move(edges));
   options_.push_back(std::move(info));
   return true;
-}
-
-const OptionInfo* OptionDb::Find(const std::string& name) const {
-  auto it = index_.find(name);
-  if (it == index_.end()) {
-    return nullptr;
-  }
-  return &options_[it->second];
 }
 
 const OptionInfo* OptionDb::FindById(OptionId id) const {
@@ -87,36 +59,6 @@ size_t OptionDb::CountInDir(SourceDir dir) const {
     }
   }
   return n;
-}
-
-size_t OptionDb::CountInClass(OptionClass c) const {
-  size_t n = 0;
-  for (const auto& o : options_) {
-    if (o.option_class == c) {
-      ++n;
-    }
-  }
-  return n;
-}
-
-std::vector<const OptionInfo*> OptionDb::AllInDir(SourceDir dir) const {
-  std::vector<const OptionInfo*> out;
-  for (const auto& o : options_) {
-    if (o.dir == dir) {
-      out.push_back(&o);
-    }
-  }
-  return out;
-}
-
-std::vector<const OptionInfo*> OptionDb::AllInClass(OptionClass c) const {
-  std::vector<const OptionInfo*> out;
-  for (const auto& o : options_) {
-    if (o.option_class == c) {
-      out.push_back(&o);
-    }
-  }
-  return out;
 }
 
 }  // namespace lupine::kconfig

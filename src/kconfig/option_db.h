@@ -1,11 +1,10 @@
 // The option database: every configuration option of the (synthetic)
-// Linux 4.0 tree, indexed by name, interned id, directory and taxonomy class.
+// Linux 4.0 tree, indexed by interned id.
 #ifndef SRC_KCONFIG_OPTION_DB_H_
 #define SRC_KCONFIG_OPTION_DB_H_
 
 #include <cstddef>
 #include <cstdint>
-#include <string>
 #include <unordered_map>
 #include <vector>
 
@@ -17,10 +16,10 @@ namespace lupine::kconfig {
 class OptionDb {
  public:
   OptionDb();
-  // Copies get a fresh serial so memoized resolver state (keyed by serial)
-  // is never shared between independent databases; moves keep it.
-  OptionDb(const OptionDb& other);
-  OptionDb& operator=(const OptionDb& other);
+  // Not copyable: a copy would share serial_ and with it the resolver's
+  // per-database closure cache. Moves keep the serial.
+  OptionDb(const OptionDb&) = delete;
+  OptionDb& operator=(const OptionDb&) = delete;
   OptionDb(OptionDb&&) = default;
   OptionDb& operator=(OptionDb&&) = default;
 
@@ -30,11 +29,9 @@ class OptionDb {
   // must assert or (void)-cast explicitly.
   [[nodiscard]] bool Add(OptionInfo info);
 
-  const OptionInfo* Find(const std::string& name) const;
   // O(1)-ish lookup by interned id (one hash over a 4-byte key, no string
   // hashing). Returns nullptr for ids not registered in this database.
   const OptionInfo* FindById(OptionId id) const;
-  bool Contains(const std::string& name) const { return Find(name) != nullptr; }
 
   // Interned adjacency of one option, precomputed at Add time so the
   // resolver's closure walks never touch option-name strings.
@@ -50,13 +47,10 @@ class OptionDb {
   const std::vector<OptionInfo>& options() const { return options_; }
 
   // Identity of this database instance; keys the resolver's per-database
-  // closure cache. Unique per logical database (fresh on copy).
+  // closure cache. Unique per logical database.
   uint64_t serial() const { return serial_; }
 
   size_t CountInDir(SourceDir dir) const;
-  size_t CountInClass(OptionClass c) const;
-  std::vector<const OptionInfo*> AllInDir(SourceDir dir) const;
-  std::vector<const OptionInfo*> AllInClass(OptionClass c) const;
 
   // The synthetic Linux 4.0 option tree (15,953 options; see linux_db.cc for
   // how named behaviour-relevant options and per-directory filler compose).
@@ -67,7 +61,6 @@ class OptionDb {
 
   std::vector<OptionInfo> options_;
   std::vector<OptionEdges> edges_;                  // Parallel to options_.
-  std::unordered_map<std::string, size_t> index_;   // Name -> options_ index.
   std::unordered_map<OptionId, size_t> id_index_;   // Interned id -> index.
   uint64_t serial_;
 };

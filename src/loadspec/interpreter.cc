@@ -110,9 +110,7 @@ VmTaskResult RunOneVm(const ScenarioSpec& spec, const VmEntrySpec& entry,
   // Deterministic per-worker PRNG streams: the scenario seed, xored with
   // the VM's spec index, forked in (group, worker) order. Host scheduling
   // of VM tasks never touches the streams.
-  const uint64_t seed =
-      options.has_seed_override ? options.seed_override : spec.seed;
-  Prng vm_prng(seed ^ (0x9E3779B97F4A7C15ull * (vm_index + 1)));
+  Prng vm_prng(spec.seed ^ (0x9E3779B97F4A7C15ull * (vm_index + 1)));
 
   // Spawn every worker of every group homed on this VM. Thread-mode groups
   // get one leader process whose main thread is worker 0; it spawns the
@@ -383,15 +381,6 @@ Result<ScenarioResult> RunScenario(const ScenarioSpec& spec,
   }
   CheckExpect(spec, &result);
   return result;
-}
-
-Result<ScenarioResult> RunScenarioText(std::string_view text,
-                                       const ScenarioOptions& options) {
-  auto spec = ParseScenario(text);
-  if (!spec.ok()) {
-    return spec.status();
-  }
-  return RunScenario(spec.value(), options);
 }
 
 }  // namespace lupine::loadspec

@@ -29,8 +29,6 @@ namespace lupine::loadspec {
 struct ScenarioOptions {
   size_t workers = 1;         // host threads across VM simulations
   int kml_override = -1;      // -1 = per spec variant; 0/1 force off/on
-  bool has_seed_override = false;
-  uint64_t seed_override = 0;
   telemetry::Journal* journal = nullptr;          // optional flight record
   telemetry::MetricRegistry* metrics = nullptr;   // optional guest.syscall_*
 };
@@ -73,10 +71,6 @@ struct ScenarioResult {
 // Status, so benches can print them.
 Result<ScenarioResult> RunScenario(const ScenarioSpec& spec,
                                    const ScenarioOptions& options = {});
-
-// Parse + validate + run in one step.
-Result<ScenarioResult> RunScenarioText(std::string_view text,
-                                       const ScenarioOptions& options = {});
 
 }  // namespace lupine::loadspec
 

@@ -55,7 +55,14 @@ const char* PathName(Planned::Path path) {
   return "unknown";
 }
 
-constexpr size_t kPrebaked = static_cast<size_t>(-1);
+// The serving host the DES models: concurrent serving instances, parked
+// guests kept per app, concurrent off-path restores per app, the mean
+// service time, and the handoff cost of a parked guest.
+constexpr size_t kSlots = 8;
+constexpr size_t kWarmTarget = 2;
+constexpr size_t kRefillConcurrency = 2;
+constexpr Nanos kServiceNs = Millis(3);
+constexpr Nanos kWarmDispatchNs = Micros(50);
 
 Nanos Percentile(const std::vector<Nanos>& sorted, int pct) {
   if (sorted.empty()) {
@@ -133,12 +140,7 @@ Result<ServeResult> RunServing(core::KernelCache& cache, core::SnapshotCache& sn
       }
       s.restore = (*restored)->boot_report().to_init;
     }
-    s.service = options.default_service_ns;
-    if (options.prebake_snapshots) {
-      snapshots.Put(captured.take());
-      s.snapshot_ready = true;
-      s.capture_request.emplace(0, kPrebaked);
-    }
+    s.service = kServiceNs;
     if (options.fault_plan != nullptr) {
       FaultPlan forked = options.fault_plan->ForApp(s.app);
       forked.seed = Fold(options.fault_plan->seed, states.size());
@@ -184,7 +186,7 @@ Result<ServeResult> RunServing(core::KernelCache& cache, core::SnapshotCache& sn
     events.push({r.arrival, seq++, Ev::kArrival, r.index, 0});
   }
 
-  size_t free_slots = std::max<size_t>(1, options.slots);
+  size_t free_slots = kSlots;
   std::deque<size_t> waiting;  // FIFO slot queue.
   std::vector<std::pair<Nanos, double>> queue_deltas;
   std::vector<std::pair<Nanos, double>> inflight_deltas;
@@ -243,13 +245,14 @@ Result<ServeResult> RunServing(core::KernelCache& cache, core::SnapshotCache& sn
     s.snapshot_ready = false;
   };
 
-  // Keep the app's pool heading toward warm_target, bounded by the refill
-  // concurrency. Restore faults are evaluated when the refill is scheduled
-  // (one injector stream per app, consumed in DES order — deterministic).
+  // Keep the app's pool heading toward kWarmTarget, bounded by
+  // kRefillConcurrency. Restore faults are evaluated when the refill is
+  // scheduled (one injector stream per app, consumed in DES order —
+  // deterministic).
   auto top_up = [&](size_t app, Nanos now) {
     AppState& s = states[app];
-    while (s.warm + s.refills_inflight < options.warm_target &&
-           s.refills_inflight < options.refill_concurrency &&
+    while (s.warm + s.refills_inflight < kWarmTarget &&
+           s.refills_inflight < kRefillConcurrency &&
            usable(s, now, /*count_denial=*/false)) {
       ++s.refills_inflight;
       const bool fail = s.injector.armed() && s.injector.Check(FaultSite::kSnapshotRestore);
@@ -286,7 +289,7 @@ Result<ServeResult> RunServing(core::KernelCache& cache, core::SnapshotCache& sn
       ++result.warm_hits;
       p.path = Planned::kWarm;
       p.warm_ordinal = ++s.takes;
-      latency = options.warm_dispatch_ns + ServiceTime(s.service, options.seed, req);
+      latency = kWarmDispatchNs + ServiceTime(s.service, options.seed, req);
       emit(now, "warm-take", s.app,
            {{"request", telemetry::FieldValue{static_cast<uint64_t>(req)}}});
       top_up(app, now);
@@ -331,11 +334,6 @@ Result<ServeResult> RunServing(core::KernelCache& cache, core::SnapshotCache& sn
     events.push({now + latency, seq++, Ev::kDone, req, 0});
   };
 
-  if (options.prebake_snapshots) {
-    for (size_t app = 0; app < states.size(); ++app) {
-      top_up(app, 0);
-    }
-  }
   while (!events.empty()) {
     const Event ev = events.top();
     events.pop();
@@ -439,7 +437,7 @@ Result<ServeResult> RunServing(core::KernelCache& cache, core::SnapshotCache& sn
     std::unique_ptr<vmm::FleetAdmissionController> admission;
     if (options.host_budget > 0) {
       admission = std::make_unique<vmm::FleetAdmissionController>(
-          vmm::AdmissionPolicy{options.host_budget, 0});
+          vmm::AdmissionPolicy{options.host_budget});
       admission->set_metrics(options.metrics);
       admission->set_journal(options.journal);
     }
@@ -481,7 +479,7 @@ Result<ServeResult> RunServing(core::KernelCache& cache, core::SnapshotCache& sn
       }
       const int epoch = s.refill_epochs[ordinal];
       auto owner = s.capture_request.find(epoch);
-      if (owner != s.capture_request.end() && owner->second != kPrebaked) {
+      if (owner != s.capture_request.end()) {
         spec.deps.push_back(request_ids[owner->second]);
       }
       const Nanos cost = s.restore;
@@ -528,7 +526,7 @@ Result<ServeResult> RunServing(core::KernelCache& cache, core::SnapshotCache& sn
         spec.deps.push_back(refill_ids[app][p.warm_ordinal - 1]);
       } else if (p.path == Planned::kRestore) {
         auto owner = s.capture_request.find(p.epoch);
-        if (owner != s.capture_request.end() && owner->second != kPrebaked) {
+        if (owner != s.capture_request.end()) {
           spec.deps.push_back(request_ids[owner->second]);
         }
       }

@@ -14,8 +14,8 @@
 //
 //   2. Discrete-event simulation (sequential, virtual clock). The arrival
 //      trace (loadgen) is played against a model of the serving host:
-//      `slots` concurrent instances, a per-app warm pool refilled
-//      asynchronously (`warm_target`, `refill_concurrency`), snapshot
+//      8 concurrent instances, a per-app warm pool of 2 guests refilled
+//      asynchronously (2 restores in flight per app), snapshot
 //      restore on-demand when the pool is dry, cold boot (plus capture)
 //      when no snapshot exists, and the drop-once-then-poison Quarantine
 //      (util/retry.h) driven by injected kSnapshotRestore faults. Every
@@ -56,17 +56,8 @@ struct ServeOptions {
   std::vector<TenantSpec> tenants;   // Empty = invalid (nothing to serve).
   Nanos duration = Seconds(2);       // Arrival window on the virtual clock.
   uint64_t seed = 42;                // Arrival + service-jitter seed.
-  size_t slots = 8;                  // Concurrent serving instances.
-  size_t warm_target = 2;            // Parked guests to keep per app.
-  size_t refill_concurrency = 2;     // Concurrent restores per app, off-path.
   size_t workers = 1;                // Host-execution worker threads.
   bool execute = true;               // Run phase 3 (real subsystems).
-  Nanos default_service_ns = Millis(3);
-  Nanos warm_dispatch_ns = Micros(50);  // Handoff cost for a parked guest.
-  // Capture every app's snapshot in the prelude (store it in `snapshots`),
-  // so the run starts with a full cache and warm pools fill from t=0.
-  // false: the first cold request per app captures, like a fresh fleet.
-  bool prebake_snapshots = false;
   Bytes memory = 128 * kMiB;         // Per-guest RAM.
   // Host RAM for the execution phase's non-blocking admission gate
   // (TryAdmit per launch; denials are informational). 0 = unlimited.

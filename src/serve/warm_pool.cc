@@ -7,21 +7,18 @@ namespace lupine::serve {
 void WarmPool::Park(const std::string& app, Parked guest) {
   std::lock_guard lock(mu_);
   pools_[app].push_back(std::move(guest));
-  ++stats_.parked;
-  ++stats_.live;
-  stats_.peak_live = std::max(stats_.peak_live, stats_.live);
+  ++live_;
   if (metrics_ != nullptr) {
     metrics_->GetCounter("warmpool.parked").Increment();
-    metrics_->GetGauge("warmpool.live").Set(static_cast<int64_t>(stats_.live));
+    metrics_->GetGauge("warmpool.live").Set(static_cast<int64_t>(live_));
   }
-  EmitJournal("warm-park", app, stats_.live);
+  EmitJournal("warm-park", app, live_);
 }
 
 std::optional<WarmPool::Parked> WarmPool::TryTake(const std::string& app) {
   std::lock_guard lock(mu_);
   auto it = pools_.find(app);
   if (it == pools_.end() || it->second.empty()) {
-    ++stats_.empty_takes;
     if (metrics_ != nullptr) {
       metrics_->GetCounter("warmpool.empty_takes").Increment();
     }
@@ -29,25 +26,13 @@ std::optional<WarmPool::Parked> WarmPool::TryTake(const std::string& app) {
   }
   Parked guest = std::move(it->second.front());
   it->second.pop_front();
-  ++stats_.taken;
-  --stats_.live;
+  --live_;
   if (metrics_ != nullptr) {
     metrics_->GetCounter("warmpool.taken").Increment();
-    metrics_->GetGauge("warmpool.live").Set(static_cast<int64_t>(stats_.live));
+    metrics_->GetGauge("warmpool.live").Set(static_cast<int64_t>(live_));
   }
-  EmitJournal("warm-take", app, stats_.live);
+  EmitJournal("warm-take", app, live_);
   return guest;
-}
-
-size_t WarmPool::Size(const std::string& app) const {
-  std::lock_guard lock(mu_);
-  auto it = pools_.find(app);
-  return it == pools_.end() ? 0 : it->second.size();
-}
-
-WarmPool::Stats WarmPool::stats() const {
-  std::lock_guard lock(mu_);
-  return stats_;
 }
 
 void WarmPool::EmitJournal(const char* type, const std::string& app,

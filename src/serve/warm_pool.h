@@ -3,7 +3,7 @@
 // The serving front door hides launch cost by keeping a small per-app pool
 // of already-restored VMs, each still holding its admission Grant (the RAM
 // is committed while the guest is parked — a parked pool is paid-for
-// capacity, which is exactly why warm_target is small). A request that
+// capacity, which is exactly why the pool is small). A request that
 // finds a warm guest dispatches at warm-dispatch cost; refills happen off
 // the request path. Parked guests have never run a fiber (restore replays
 // Boot+StartInit only), so parking on one host thread and running on
@@ -48,18 +48,6 @@ class WarmPool {
   // empty for that app (the caller falls back to a cold boot).
   std::optional<Parked> TryTake(const std::string& app);
 
-  // Parked guests for `app` right now.
-  size_t Size(const std::string& app) const;
-
-  struct Stats {
-    uint64_t parked = 0;       // Lifetime Park() calls.
-    uint64_t taken = 0;        // Lifetime successful TryTake() calls.
-    uint64_t empty_takes = 0;  // TryTake() calls that found nothing.
-    size_t live = 0;           // Currently parked across all apps.
-    size_t peak_live = 0;
-  };
-  Stats stats() const;
-
   // Optional, non-owning metric sink: `warmpool.parked` / `warmpool.taken` /
   // `warmpool.empty_takes` counters and a `warmpool.live` gauge. Must
   // outlive the pool.
@@ -77,9 +65,9 @@ class WarmPool {
   telemetry::MetricRegistry* metrics_ = nullptr;
   telemetry::Journal* journal_ = nullptr;
 
-  mutable std::mutex mu_;
+  std::mutex mu_;
   std::map<std::string, std::deque<Parked>> pools_;
-  Stats stats_;
+  size_t live_ = 0;  // Currently parked across all apps.
 };
 
 }  // namespace lupine::serve

@@ -143,21 +143,6 @@ std::string Journal::ExportJsonl(bool include_schedule_scoped) const {
   return out;
 }
 
-uint64_t Journal::dropped() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  uint64_t total = 0;
-  for (const auto& [_, ring] : rings_) {
-    total += ring.dropped;
-  }
-  return total;
-}
-
-uint64_t Journal::dropped(std::string_view source) const {
-  std::lock_guard<std::mutex> lock(mu_);
-  auto it = rings_.find(source);
-  return it == rings_.end() ? 0 : it->second.dropped;
-}
-
 size_t Journal::size() const {
   std::lock_guard<std::mutex> lock(mu_);
   size_t total = 0;
@@ -165,11 +150,6 @@ size_t Journal::size() const {
     total += ring.events.size();
   }
   return total;
-}
-
-void Journal::Clear() {
-  std::lock_guard<std::mutex> lock(mu_);
-  rings_.clear();
 }
 
 }  // namespace lupine::telemetry

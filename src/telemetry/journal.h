@@ -17,7 +17,7 @@
 //
 // Memory is bounded: each source gets a drop-oldest ring (default 4096
 // events); overflow increments a per-source dropped counter that is
-// surfaced via dropped() and a final "journal"-source event in the export.
+// surfaced as a final "journal"-source event in the export.
 // Byte-identity across worker counts holds as long as no ring dropped —
 // the storm tests size well under the ring.
 #ifndef SRC_TELEMETRY_JOURNAL_H_
@@ -105,11 +105,7 @@ class Journal {
   //   {"at":0,"source":"journal","type":"dropped","from":"fleet","count":12}
   std::string ExportJsonl(bool include_schedule_scoped = false) const;
 
-  // Total events dropped across all rings / for one source.
-  uint64_t dropped() const;
-  uint64_t dropped(std::string_view source) const;
   size_t size() const;
-  void Clear();
 
  private:
   struct Ring {

@@ -101,11 +101,4 @@ MetricRegistry::Snapshot MetricRegistry::Collect() const {
   return snapshot;
 }
 
-MetricRegistry& MetricRegistry::Global() {
-  // Leaked like the option interner: cells handed out by reference must
-  // outlive every static destructor that might still update them.
-  static MetricRegistry* global = new MetricRegistry();
-  return *global;
-}
-
 }  // namespace lupine::telemetry

@@ -55,14 +55,6 @@ class Counter {
 class Gauge {
  public:
   void Set(int64_t value) { value_.store(value, std::memory_order_relaxed); }
-  void Add(int64_t delta) { value_.fetch_add(delta, std::memory_order_relaxed); }
-  // High-water mark: keeps the maximum ever Set this way.
-  void SetMax(int64_t value) {
-    int64_t seen = value_.load(std::memory_order_relaxed);
-    while (value > seen &&
-           !value_.compare_exchange_weak(seen, value, std::memory_order_relaxed)) {
-    }
-  }
   int64_t value() const { return value_.load(std::memory_order_relaxed); }
 
  private:
@@ -156,9 +148,6 @@ class MetricRegistry {
   // Stable order: sorted by (name, canonical labels) — two identical runs
   // export byte-identical snapshots.
   Snapshot Collect() const;
-
-  // Process-wide default registry for callers without an injected one.
-  static MetricRegistry& Global();
 
  private:
   // Key = (name, canonical label text). Cells hold their original labels for

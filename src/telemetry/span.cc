@@ -36,12 +36,4 @@ const Span* SpanTrace::Find(const std::string& name) const {
   return nullptr;
 }
 
-Nanos SpanTrace::TotalDuration() const {
-  Nanos total = 0;
-  for (const Span& span : spans_) {
-    total += span.duration();
-  }
-  return total;
-}
-
 }  // namespace lupine::telemetry

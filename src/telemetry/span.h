@@ -63,8 +63,6 @@ class SpanTrace {
   const std::vector<Span>& spans() const { return spans_; }
   const Span* Find(const std::string& name) const;
   Nanos cursor() const { return cursor_; }
-  // Sum of span durations (not end-start of the whole trace: gaps excluded).
-  Nanos TotalDuration() const;
   bool empty() const { return spans_.empty(); }
   void Clear() {
     spans_.clear();

@@ -1,7 +1,6 @@
 #include "src/util/fault.h"
 
 #include <cctype>
-#include <cstdio>
 #include <cstdlib>
 
 namespace lupine {
@@ -45,21 +44,6 @@ Result<FaultSite> FaultSiteFromName(const std::string& name) {
 }
 
 namespace {
-
-// Formats a double so the round trip is exact for the values plans actually
-// hold (probabilities): shortest form that parses back to the same double.
-std::string FormatProbability(double p) {
-  char buf[32];
-  std::snprintf(buf, sizeof(buf), "%.17g", p);
-  for (int precision = 1; precision < 17; ++precision) {
-    char shorter[32];
-    std::snprintf(shorter, sizeof(shorter), "%.*g", precision, p);
-    if (std::strtod(shorter, nullptr) == p) {
-      return shorter;
-    }
-  }
-  return buf;
-}
 
 // A deliberately small recursive-descent JSON reader: objects, arrays,
 // strings (no escapes beyond \" and \\ — site names need none), numbers and
@@ -207,29 +191,6 @@ Status ParseRule(JsonReader& reader, FaultRule& rule) {
 
 }  // namespace
 
-std::string ToJson(const FaultPlan& plan) {
-  std::string json = "{\"seed\": " + std::to_string(plan.seed) + ", \"rules\": [";
-  for (size_t i = 0; i < plan.rules.size(); ++i) {
-    const FaultRule& rule = plan.rules[i];
-    json += i > 0 ? ", " : "";
-    json += "{\"site\": \"" + std::string(FaultSiteName(rule.site)) + "\"";
-    json += ", \"trigger_on\": " + std::to_string(rule.trigger_on);
-    json += ", \"period\": " + std::to_string(rule.period);
-    json += ", \"probability\": " + FormatProbability(rule.probability);
-    json += ", \"max_fires\": " + std::to_string(rule.max_fires);
-    // Non-default targeting fields only: existing plan files stay stable.
-    if (!rule.app.empty()) {
-      json += ", \"app\": \"" + rule.app + "\"";
-    }
-    if (rule.stall != 0) {
-      json += ", \"stall_ns\": " + std::to_string(rule.stall);
-    }
-    json += "}";
-  }
-  json += "]}";
-  return json;
-}
-
 Result<FaultPlan> FaultPlanFromJson(const std::string& json) {
   JsonReader reader(json);
   FaultPlan plan;
@@ -294,7 +255,6 @@ FaultPlan FaultPlan::ForApp(const std::string& app) const {
 
 FaultInjector::FaultInjector(const FaultPlan& plan)
     : armed_(!plan.rules.empty()),
-      seed_(plan.seed),
       prng_(plan.seed),
       rules_(plan.rules),
       remaining_(plan.rules.size()) {
@@ -347,17 +307,6 @@ bool FaultInjector::Check(FaultSite site) {
     }
   }
   return fire;
-}
-
-void FaultInjector::Reset() {
-  prng_ = Prng(seed_);
-  for (size_t i = 0; i < rules_.size(); ++i) {
-    remaining_[i] = rules_[i].max_fires;
-  }
-  evaluations_.fill(0);
-  fires_.fill(0);
-  log_.clear();
-  stall_penalty_ = kBootStallPenalty;
 }
 
 }  // namespace lupine

@@ -100,17 +100,15 @@ struct FaultPlan {
   FaultPlan ForApp(const std::string& app) const;
 };
 
-// JSON round-trip so chaos schedules live as data files next to the benches
+// JSON reader so chaos schedules live as data files next to the benches
 // (bench/plans/*.json) instead of compiled C++. The document shape:
 //
 //   {"seed": 42, "rules": [{"site": "boot-initcall", "trigger_on": 1,
 //                           "period": 1, "probability": 0.0, "max_fires": 2}]}
 //
-// Serialization emits every numeric rule field (plus "app"/"stall_ns" when
-// set); the parser defaults omitted fields to the FaultRule defaults and
-// rejects unknown keys, unknown sites and malformed documents.
-// ToJson(FaultPlanFromJson(x)) is a fixed point.
-std::string ToJson(const FaultPlan& plan);
+// A rule may also carry "app" and "stall_ns". The parser defaults omitted
+// fields to the FaultRule defaults and rejects unknown keys, unknown sites
+// and malformed documents.
 Result<FaultPlan> FaultPlanFromJson(const std::string& json);
 
 // One fault that actually fired.
@@ -145,13 +143,8 @@ class FaultInjector {
   // disarmed null object always reports the default penalty.
   Nanos stall_penalty() const { return stall_penalty_; }
 
-  // Forgets counters and the log and re-seeds the PRNG: the next run of the
-  // same workload sees the identical schedule (replay).
-  void Reset();
-
  private:
   bool armed_ = false;
-  uint64_t seed_ = 0;
   Prng prng_;
   std::vector<FaultRule> rules_;
   // Remaining fires per rule (parallel to rules_); -1 = unlimited.

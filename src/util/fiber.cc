@@ -162,6 +162,4 @@ void Fiber::Yield() {
   self->SwitchToResumer();
 }
 
-Fiber* Fiber::Current() { return g_current_fiber; }
-
 }  // namespace lupine

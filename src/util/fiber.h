@@ -44,9 +44,6 @@ class Fiber {
   // Yields from inside the currently running fiber back to its resumer.
   static void Yield();
 
-  // The fiber currently executing, or nullptr when in scheduler context.
-  static Fiber* Current();
-
   bool finished() const { return finished_; }
   bool running() const { return running_; }
 

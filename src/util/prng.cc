@@ -1,7 +1,5 @@
 #include "src/util/prng.h"
 
-#include <cmath>
-
 namespace lupine {
 namespace {
 
@@ -55,28 +53,11 @@ uint64_t Prng::NextBelow(uint64_t bound) {
   return static_cast<uint64_t>(m >> 64);
 }
 
-int64_t Prng::NextInRange(int64_t lo, int64_t hi) {
-  return lo + static_cast<int64_t>(NextBelow(static_cast<uint64_t>(hi - lo + 1)));
-}
-
 double Prng::NextDouble() {
   return static_cast<double>(Next() >> 11) * 0x1.0p-53;
 }
 
 bool Prng::NextBool(double p_true) { return NextDouble() < p_true; }
-
-uint64_t Prng::NextZipf(uint64_t n, double theta) {
-  if (n <= 1) {
-    return 0;
-  }
-  // Inverse-CDF approximation good enough for workload skew modeling.
-  double u = NextDouble();
-  double exponent = 1.0 - theta;
-  double scale = std::pow(static_cast<double>(n), exponent);
-  double rank = std::pow(u * (scale - 1.0) + 1.0, 1.0 / exponent) - 1.0;
-  uint64_t r = static_cast<uint64_t>(rank);
-  return r >= n ? n - 1 : r;
-}
 
 Prng Prng::Fork() { return Prng(Next()); }
 

@@ -20,18 +20,11 @@ class Prng {
   // Uniform in [0, bound) without modulo bias (Lemire's method).
   uint64_t NextBelow(uint64_t bound);
 
-  // Uniform in [lo, hi] inclusive.
-  int64_t NextInRange(int64_t lo, int64_t hi);
-
   // Uniform double in [0, 1).
   double NextDouble();
 
   // Bernoulli trial.
   bool NextBool(double p_true);
-
-  // Zipf-like rank selection in [0, n): rank r with weight 1/(r+1)^theta.
-  // Used by the redis workload to model hot keys.
-  uint64_t NextZipf(uint64_t n, double theta);
 
   // Derives an independent child generator (for per-connection streams).
   Prng Fork();

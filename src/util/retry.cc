@@ -61,10 +61,6 @@ Retrier::Decision Retrier::OnFailure(const Status& status) {
   return decision;
 }
 
-Status DeadlineGuard::Check() const {
-  return CheckElapsed(stage_, deadline_, elapsed());
-}
-
 Status DeadlineGuard::CheckElapsed(const std::string& stage, Nanos deadline, Nanos elapsed) {
   if (deadline <= 0 || elapsed <= deadline) {
     return Status::Ok();

@@ -88,22 +88,21 @@ class Retrier {
   int failures_ = 0;
 };
 
-// Watches one named stage against a virtual deadline. Construct at stage
+// Watches one stage against a virtual deadline. Construct at stage
 // start; after the stage ran, expired() says whether the monitor would have
 // killed it first, and kill_at() is the virtual instant it would have done
 // so (what a killed attempt costs the shard — never more than the deadline).
 // deadline 0 = unlimited (the guard never expires).
 class DeadlineGuard {
  public:
-  DeadlineGuard(const VirtualClock& clock, std::string stage, Nanos deadline)
-      : clock_(&clock), stage_(std::move(stage)), deadline_(deadline), start_(clock.now()) {}
+  DeadlineGuard(const VirtualClock& clock, Nanos deadline)
+      : clock_(&clock), deadline_(deadline), start_(clock.now()) {}
 
   Nanos elapsed() const { return clock_->now() - start_; }
   bool expired() const { return deadline_ > 0 && elapsed() > deadline_; }
   // Virtual time the stage consumed as far as the monitor is concerned:
   // capped at the deadline when expired.
   Nanos charged() const { return expired() ? deadline_ : elapsed(); }
-  Status Check() const;  // Ok, or kTimedOut naming the stage and overrun.
 
   // Post-hoc form for stages whose duration arrives as a number (a boot
   // report's phase sum): Ok, or kTimedOut when elapsed > deadline (> 0).
@@ -111,7 +110,6 @@ class DeadlineGuard {
 
  private:
   const VirtualClock* clock_;
-  std::string stage_;
   Nanos deadline_;
   Nanos start_;
 };

@@ -1,7 +1,6 @@
 #include "src/util/stats.h"
 
 #include <algorithm>
-#include <cmath>
 
 namespace lupine {
 
@@ -14,19 +13,8 @@ void Accumulator::Add(double x) {
   }
   ++count_;
   sum_ += x;
-  double delta = x - mean_;
-  mean_ += delta / static_cast<double>(count_);
-  m2_ += delta * (x - mean_);
+  mean_ += (x - mean_) / static_cast<double>(count_);
 }
-
-double Accumulator::Variance() const {
-  if (count_ < 2) {
-    return 0.0;
-  }
-  return m2_ / static_cast<double>(count_ - 1);
-}
-
-double Accumulator::Stddev() const { return std::sqrt(Variance()); }
 
 double Percentile(std::vector<double> samples, double p) {
   if (samples.empty()) {
@@ -38,22 +26,6 @@ double Percentile(std::vector<double> samples, double p) {
   size_t hi = std::min(lo + 1, samples.size() - 1);
   double frac = rank - static_cast<double>(lo);
   return samples[lo] + (samples[hi] - samples[lo]) * frac;
-}
-
-double Mean(const std::vector<double>& samples) {
-  Accumulator acc;
-  for (double s : samples) {
-    acc.Add(s);
-  }
-  return acc.mean();
-}
-
-double Stddev(const std::vector<double>& samples) {
-  Accumulator acc;
-  for (double s : samples) {
-    acc.Add(s);
-  }
-  return acc.Stddev();
 }
 
 StreamingPercentiles::StreamingPercentiles(size_t capacity)

@@ -7,7 +7,7 @@
 
 namespace lupine {
 
-// Streaming accumulator (Welford) for mean / variance / extremes.
+// Streaming accumulator for mean / sum / extremes.
 class Accumulator {
  public:
   void Add(double x);
@@ -17,13 +17,10 @@ class Accumulator {
   double min() const { return count_ ? min_ : 0.0; }
   double max() const { return count_ ? max_ : 0.0; }
   double sum() const { return sum_; }
-  double Variance() const;
-  double Stddev() const;
 
  private:
   size_t count_ = 0;
   double mean_ = 0.0;
-  double m2_ = 0.0;
   double min_ = 0.0;
   double max_ = 0.0;
   double sum_ = 0.0;
@@ -31,9 +28,6 @@ class Accumulator {
 
 // Percentile over a copied sample set (nearest-rank).
 double Percentile(std::vector<double> samples, double p);
-
-double Mean(const std::vector<double>& samples);
-double Stddev(const std::vector<double>& samples);
 
 // Streaming percentile estimator with bounded memory.
 //

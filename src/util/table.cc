@@ -62,19 +62,6 @@ std::string Table::ToString() const {
 
 void Table::Print(std::FILE* out) const { std::fputs(ToString().c_str(), out); }
 
-void Table::PrintCsv(std::FILE* out) const {
-  auto emit = [&](const std::vector<std::string>& row) {
-    for (size_t c = 0; c < row.size(); ++c) {
-      std::fputs(row[c].c_str(), out);
-      std::fputc(c + 1 == row.size() ? '\n' : ',', out);
-    }
-  };
-  emit(headers_);
-  for (const auto& row : rows_) {
-    emit(row);
-  }
-}
-
 void PrintBanner(const std::string& title, std::FILE* out) {
   std::fprintf(out, "\n== %s ==\n", title.c_str());
 }

@@ -29,7 +29,6 @@ class Table {
 
   // Renders to `out` (defaults to stdout).
   void Print(std::FILE* out = stdout) const;
-  void PrintCsv(std::FILE* out = stdout) const;
 
   std::string ToString() const;
 

@@ -50,18 +50,6 @@ class VirtualClock {
   Nanos now_ = 0;
 };
 
-// RAII measurement of elapsed virtual time.
-class VirtualStopwatch {
- public:
-  explicit VirtualStopwatch(const VirtualClock& clock) : clock_(clock), start_(clock.now()) {}
-  Nanos Elapsed() const { return clock_.now() - start_; }
-  void Restart() { start_ = clock_.now(); }
-
- private:
-  const VirtualClock& clock_;
-  Nanos start_;
-};
-
 }  // namespace lupine
 
 #endif  // SRC_UTIL_VCLOCK_H_

@@ -40,110 +40,81 @@ const char* FleetAdmissionController::VerdictName(Verdict verdict) {
   return "unknown";
 }
 
-FleetAdmissionController::Verdict FleetAdmissionController::Classify(
-    const AdmissionRequest& request, Bytes committed, size_t waiting) const {
-  if (policy_.host_budget == 0) {
+FleetAdmissionController::Verdict FleetAdmissionController::FitLocked(
+    const AdmissionRequest& request) const {
+  const Bytes budget = policy_.host_budget;
+  if (budget == 0) {
     return Verdict::kAdmit;
   }
-  const bool can_full = request.memory <= policy_.host_budget;
-  const bool can_min =
-      request.min_memory > 0 && request.min_memory <= policy_.host_budget;
+  const bool can_full = request.memory <= budget;
+  const bool can_min = request.min_memory > 0 && request.min_memory <= budget;
   if (!can_full && !can_min) {
     return Verdict::kReject;  // Never fits, even on an idle host.
   }
-  if (waiting == 0) {
-    if (can_full && committed + request.memory <= policy_.host_budget) {
-      return Verdict::kAdmit;
-    }
-    if (can_min && committed + request.min_memory <= policy_.host_budget) {
-      return Verdict::kDegrade;
-    }
+  if (can_full && committed_ + request.memory <= budget) {
+    return Verdict::kAdmit;
   }
-  if (policy_.max_waiters > 0 && waiting >= policy_.max_waiters) {
-    return Verdict::kReject;
+  if (can_min && committed_ + request.min_memory <= budget) {
+    return Verdict::kDegrade;
   }
   return Verdict::kQueue;
 }
 
-FleetAdmissionController::Verdict FleetAdmissionController::Probe(
-    const AdmissionRequest& request) const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return Classify(request, committed_, tickets_.size());
+Grant FleetAdmissionController::GrantLocked(const AdmissionRequest& request, Verdict verdict,
+                                            bool waited, const char* type) {
+  const bool degraded = verdict == Verdict::kDegrade;
+  const Bytes granted = degraded ? request.min_memory : request.memory;
+  committed_ += granted;
+  ++stats_.active;
+  stats_.committed = committed_;
+  if (committed_ > stats_.peak_committed) {
+    stats_.peak_committed = committed_;
+  }
+  if (degraded) {
+    ++stats_.degraded;
+  } else {
+    ++stats_.admitted;
+  }
+  Count(degraded ? "admission.degraded" : "admission.admitted");
+  EmitVerdict(type, request, VerdictName(verdict), granted);
+  PublishGauges();
+  return Grant(this, granted, degraded, waited);
+}
+
+void FleetAdmissionController::Count(const char* counter) {
+  if (metrics_ != nullptr) {
+    metrics_->GetCounter(counter).Increment();
+  }
+}
+
+void FleetAdmissionController::EmitVerdict(const char* type, const AdmissionRequest& request,
+                                           const char* verdict, Bytes granted) {
+  if (journal_ == nullptr) {
+    return;
+  }
+  telemetry::Event event;
+  event.source = "admission";
+  event.type = type;
+  event.schedule_scoped = true;
+  event.fields = {{"vm", telemetry::FieldValue{request.vm}},
+                  {"verdict", telemetry::FieldValue{std::string(verdict)}},
+                  {"granted_bytes", telemetry::FieldValue{static_cast<uint64_t>(granted)}}};
+  journal_->Emit(std::move(event));
 }
 
 Grant FleetAdmissionController::Admit(const AdmissionRequest& request) {
   std::unique_lock<std::mutex> lock(mu_);
   ++stats_.requests;
-  if (metrics_ != nullptr) {
-    metrics_->GetCounter("admission.requests").Increment();
-  }
-
-  const Bytes budget = policy_.host_budget;
-  const bool unlimited = budget == 0;
-  const bool can_full = unlimited || request.memory <= budget;
-  const bool can_min = !unlimited && request.min_memory > 0 &&
-                       request.min_memory <= budget;
-
-  auto fits_now = [&]() {
-    return (can_full && (unlimited || committed_ + request.memory <= budget)) ||
-           (can_min && committed_ + request.min_memory <= budget);
-  };
-  auto emit_verdict = [&](Verdict verdict, Bytes granted) {
-    if (journal_ == nullptr) {
-      return;
-    }
-    telemetry::Event event;
-    event.source = "admission";
-    event.type = "verdict";
-    event.schedule_scoped = true;  // Depends on concurrent committed bytes.
-    event.fields = {{"vm", telemetry::FieldValue{request.vm}},
-                    {"verdict", telemetry::FieldValue{std::string(VerdictName(verdict))}},
-                    {"granted_bytes", telemetry::FieldValue{static_cast<uint64_t>(granted)}}};
-    journal_->Emit(std::move(event));
-  };
-  auto grant_locked = [&](bool waited) {
-    Bytes granted = request.memory;
-    bool degraded = false;
-    if (!unlimited && !(can_full && committed_ + request.memory <= budget)) {
-      granted = request.min_memory;
-      degraded = true;
-    }
-    committed_ += granted;
-    ++stats_.active;
-    stats_.committed = committed_;
-    if (committed_ > stats_.peak_committed) {
-      stats_.peak_committed = committed_;
-    }
-    if (degraded) {
-      ++stats_.degraded;
-    } else {
-      ++stats_.admitted;
-    }
-    if (metrics_ != nullptr) {
-      metrics_->GetCounter(degraded ? "admission.degraded" : "admission.admitted")
-          .Increment();
-    }
-    emit_verdict(degraded ? Verdict::kDegrade : Verdict::kAdmit, granted);
-    PublishGauges();
-    return Grant(this, granted, degraded, waited);
-  };
-  auto reject_locked = [&]() {
+  Count("admission.requests");
+  Verdict verdict = FitLocked(request);
+  if (verdict == Verdict::kReject) {
     ++stats_.rejected;
-    if (metrics_ != nullptr) {
-      metrics_->GetCounter("admission.rejected").Increment();
-    }
-    emit_verdict(Verdict::kReject, 0);
+    Count("admission.rejected");
+    EmitVerdict("verdict", request, VerdictName(verdict), 0);
     return Grant();
-  };
-
-  if (!can_full && !can_min) {
-    return reject_locked();
   }
-  if (tickets_.empty() && fits_now()) {
-    return grant_locked(/*waited=*/false);
-  }
-  if (policy_.max_waiters > 0 && tickets_.size() >= policy_.max_waiters) {
-    return reject_locked();
+  if (tickets_.empty() && verdict != Verdict::kQueue) {
+    return GrantLocked(request, verdict, /*waited=*/false, "verdict");
   }
 
   // Queue FIFO: wait until this ticket reaches the head AND the budget has
@@ -153,14 +124,14 @@ Grant FleetAdmissionController::Admit(const AdmissionRequest& request) {
   tickets_.push_back(ticket);
   ++stats_.queued;
   stats_.waiting = tickets_.size();
-  if (metrics_ != nullptr) {
-    metrics_->GetCounter("admission.queued").Increment();
-  }
-  emit_verdict(Verdict::kQueue, 0);
-  cv_.wait(lock, [&]() { return tickets_.front() == ticket && fits_now(); });
+  Count("admission.queued");
+  EmitVerdict("verdict", request, VerdictName(Verdict::kQueue), 0);
+  cv_.wait(lock, [&]() {
+    return tickets_.front() == ticket && (verdict = FitLocked(request)) != Verdict::kQueue;
+  });
   tickets_.pop_front();
   stats_.waiting = tickets_.size();
-  Grant grant = grant_locked(/*waited=*/true);
+  Grant grant = GrantLocked(request, verdict, /*waited=*/true, "verdict");
   // The next waiter may also fit in what is left — wake the line.
   cv_.notify_all();
   return grant;
@@ -169,63 +140,16 @@ Grant FleetAdmissionController::Admit(const AdmissionRequest& request) {
 Grant FleetAdmissionController::TryAdmit(const AdmissionRequest& request) {
   std::lock_guard<std::mutex> lock(mu_);
   ++stats_.requests;
-  if (metrics_ != nullptr) {
-    metrics_->GetCounter("admission.requests").Increment();
-  }
-
-  const Bytes budget = policy_.host_budget;
-  const bool unlimited = budget == 0;
-  const bool can_full = unlimited || request.memory <= budget;
-  const bool can_min = !unlimited && request.min_memory > 0 &&
-                       request.min_memory <= budget;
-  const bool full_fits =
-      can_full && (unlimited || committed_ + request.memory <= budget);
-  const bool min_fits = can_min && committed_ + request.min_memory <= budget;
-
-  auto emit_try_verdict = [&](const char* verdict, Bytes granted) {
-    if (journal_ == nullptr) {
-      return;
-    }
-    telemetry::Event event;
-    event.source = "admission";
-    event.type = "try-verdict";
-    event.schedule_scoped = true;  // Depends on concurrent committed bytes.
-    event.fields = {{"vm", telemetry::FieldValue{request.vm}},
-                    {"verdict", telemetry::FieldValue{std::string(verdict)}},
-                    {"granted_bytes", telemetry::FieldValue{static_cast<uint64_t>(granted)}}};
-    journal_->Emit(std::move(event));
-  };
-
+  Count("admission.requests");
   // Respect the FIFO line: stealing budget that a queued Admit() is waiting
   // for would starve it.
-  if (tickets_.empty() && (full_fits || min_fits)) {
-    const bool degraded = !full_fits;
-    const Bytes granted = degraded ? request.min_memory : request.memory;
-    committed_ += granted;
-    ++stats_.active;
-    stats_.committed = committed_;
-    if (committed_ > stats_.peak_committed) {
-      stats_.peak_committed = committed_;
-    }
-    if (degraded) {
-      ++stats_.degraded;
-    } else {
-      ++stats_.admitted;
-    }
-    if (metrics_ != nullptr) {
-      metrics_->GetCounter(degraded ? "admission.degraded" : "admission.admitted")
-          .Increment();
-    }
-    emit_try_verdict(degraded ? "degrade" : "admit", granted);
-    PublishGauges();
-    return Grant(this, granted, degraded, /*waited=*/false);
+  const Verdict verdict = FitLocked(request);
+  if (tickets_.empty() && (verdict == Verdict::kAdmit || verdict == Verdict::kDegrade)) {
+    return GrantLocked(request, verdict, /*waited=*/false, "try-verdict");
   }
-
   ++stats_.try_denied;
-  if (metrics_ != nullptr) {
-    metrics_->GetCounter("admission.try_denied").Increment();
-  }
-  emit_try_verdict("deny", 0);
+  Count("admission.try_denied");
+  EmitVerdict("try-verdict", request, "deny", 0);
   return Grant();
 }
 

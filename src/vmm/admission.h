@@ -12,7 +12,7 @@
 //   queue   — nothing fits right now; block FIFO until running VMs exit and
 //             release their grants.
 //   reject  — the request can never fit (even min_memory exceeds the whole
-//             budget), or the wait queue is at max_waiters; fail fast.
+//             budget); fail fast.
 //
 // Grants are RAII: destroying (or Release()-ing) a Grant returns its bytes
 // to the budget and wakes queued waiters in arrival order. The controller is
@@ -36,9 +36,6 @@ struct AdmissionPolicy {
   // Host memory available for guest RAM. 0 = unlimited (every request is
   // admitted in full immediately; useful as the no-op default).
   Bytes host_budget = 0;
-  // Maximum number of launches allowed to block in the queue; one more is
-  // rejected. 0 = unbounded queue.
-  size_t max_waiters = 0;
 };
 
 struct AdmissionRequest {
@@ -94,13 +91,9 @@ class FleetAdmissionController {
   enum class Verdict { kAdmit, kDegrade, kQueue, kReject };
   static const char* VerdictName(Verdict verdict);
 
-  // What Admit() would do right now, without committing anything. Racy by
-  // nature under concurrency — advisory only.
-  Verdict Probe(const AdmissionRequest& request) const;
-
   // Blocks (FIFO) until the request can be satisfied, then commits the bytes
   // and returns the grant. Returns an invalid grant when the request is
-  // rejected (can never fit, or the queue is full).
+  // rejected (it can never fit).
   Grant Admit(const AdmissionRequest& request);
 
   // Non-blocking Admit: commits and returns a grant only when the request
@@ -141,10 +134,21 @@ class FleetAdmissionController {
  private:
   friend class Grant;
 
-  // Verdict for `request` given `committed` bytes already held. Lock-free
-  // pure function of the policy.
-  Verdict Classify(const AdmissionRequest& request, Bytes committed,
-                   size_t waiting) const;
+  // What the budget allows `request` with committed_ bytes held: kAdmit or
+  // kDegrade when its full reservation or its min_memory fits now, kQueue
+  // when it can fit later, kReject when it never can. The FIFO line is the
+  // caller's concern. Caller holds mu_.
+  Verdict FitLocked(const AdmissionRequest& request) const;
+  // Commits the grant `verdict` (kAdmit or kDegrade) names, counts it and
+  // records it as a `type` journal event. Caller holds mu_.
+  Grant GrantLocked(const AdmissionRequest& request, Verdict verdict, bool waited,
+                    const char* type);
+  // Bumps `counter` when a registry is installed.
+  void Count(const char* counter);
+  // Journals one verdict as a `type` event (schedule-scoped: it depends on
+  // what is concurrently committed).
+  void EmitVerdict(const char* type, const AdmissionRequest& request, const char* verdict,
+                   Bytes granted);
   void ReleaseBytes(Bytes bytes);
   void PublishGauges();  // Caller holds mu_.
 

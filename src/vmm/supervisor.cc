@@ -5,6 +5,14 @@
 #include "src/util/retry.h"
 
 namespace lupine::vmm {
+namespace {
+
+// The health-probe grid a halted guest is discovered on, and the sliding
+// window crash_loop_failures are counted in (see SupervisorPolicy).
+constexpr Nanos kHealthCheckInterval = Millis(50);
+constexpr Nanos kCrashLoopWindow = Seconds(300);
+
+}  // namespace
 
 const char* MemberStateName(MemberState state) {
   switch (state) {
@@ -108,8 +116,8 @@ bool Supervisor::Attempt(Member& member) {
     // rebooting guest exits and the monitor knows at once; a halted guest
     // sits dead until the next health probe on the supervisor's grid.
     Nanos detect = at;
-    if (!kernel.reboot_on_panic() && policy_.health_check_interval > 0) {
-      detect = ((at / policy_.health_check_interval) + 1) * policy_.health_check_interval;
+    if (!kernel.reboot_on_panic()) {
+      detect = ((at / kHealthCheckInterval) + 1) * kHealthCheckInterval;
       clock_.AdvanceTo(detect);
     }
     OnFailure(member, detect, "crash", "panic: " + kernel.panic_reason());
@@ -175,14 +183,14 @@ void Supervisor::OnFailure(Member& member, Nanos at, const std::string& kind,
   // Crash-loop windowing.
   member.failure_times.push_back(at);
   while (!member.failure_times.empty() &&
-         member.failure_times.front() + policy_.crash_loop_window < at) {
+         member.failure_times.front() + kCrashLoopWindow < at) {
     member.failure_times.pop_front();
   }
   if (static_cast<int>(member.failure_times.size()) >= policy_.crash_loop_failures) {
     member.stats.state = MemberState::kDegraded;
     Emit(at, member, "degraded",
          std::to_string(member.failure_times.size()) + " failures within " +
-             FormatDuration(policy_.crash_loop_window) + "; giving up");
+             FormatDuration(kCrashLoopWindow) + "; giving up");
     if (metrics_ != nullptr) {
       metrics_->GetCounter("supervisor.giveup_total").Increment();
     }
@@ -203,10 +211,7 @@ Nanos Supervisor::NextBackoff(Member& member) {
   // policy cap, scaled by deterministic jitter from the member's private PRNG
   // stream — same seed => same schedule, but members decorrelate so a mass
   // crash doesn't restart the whole fleet in lockstep.
-  const BackoffSpec spec{.initial = policy_.backoff_initial,
-                         .multiplier = policy_.backoff_multiplier,
-                         .cap = policy_.backoff_cap,
-                         .jitter = policy_.backoff_jitter};
+  const BackoffSpec spec{.jitter = policy_.backoff_jitter};
   bool capped = false;
   const Nanos delay = BackoffDelay(spec, member.consecutive_failures, member.jitter, &capped);
   if (capped && metrics_ != nullptr) {

@@ -37,22 +37,18 @@
 
 namespace lupine::vmm {
 
+// Members are probed every 50 ms: a guest that halts on panic
+// (PANIC_TIMEOUT=0) is only discovered dead at the next probe; a guest that
+// reboots (PANIC_TIMEOUT!=0) tells the monitor immediately. Restarts back off
+// on util/retry's BackoffSpec curve (100 ms doubling up to 30 s), and the
+// crash-loop window is 300 s.
 struct SupervisorPolicy {
-  // How often a member is probed. A guest that halts on panic
-  // (PANIC_TIMEOUT=0) is only discovered dead at the next probe; a guest
-  // that reboots (PANIC_TIMEOUT!=0) tells the monitor immediately.
-  Nanos health_check_interval = Millis(50);
-  // Restart backoff: initial delay, growth factor, ceiling.
-  Nanos backoff_initial = Millis(100);
-  double backoff_multiplier = 2.0;
-  Nanos backoff_cap = Seconds(30);
   // Jitter fraction applied to every backoff (uniform in [1-j, 1+j]),
   // drawn from a per-member PRNG forked off `seed` — deterministic.
   double backoff_jitter = 0.1;
   // Crash-loop detection: this many failures within the window => the
   // member is marked degraded and no longer restarted.
   int crash_loop_failures = 5;
-  Nanos crash_loop_window = Seconds(300);
   uint64_t seed = 0x5EED;
 };
 

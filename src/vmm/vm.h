@@ -21,7 +21,6 @@ struct VmSpec {
   kbuild::KernelImage image;
   std::string rootfs;        // LUPX2FS blob.
   Bytes memory = 512 * kMiB; // Guest RAM (the paper's default).
-  int vcpus = 1;             // Pinned to 1 in the evaluation.
   // Non-owning fault injector threaded through the guest kernel. Lives
   // outside the Vm so its counters survive a supervisor restart (a fresh Vm
   // on the same injector continues the fault schedule rather than replaying

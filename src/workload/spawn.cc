@@ -24,12 +24,6 @@ guestos::Process* SpawnProcess(guestos::Kernel& kernel, const std::string& name,
   return process;
 }
 
-Nanos RunFor(guestos::Kernel& kernel) {
-  Nanos start = kernel.clock().now();
-  kernel.Run();
-  return kernel.clock().now() - start;
-}
-
 int InstallPipeEnd(guestos::Process* process, const std::shared_ptr<guestos::PipeBuffer>& pipe,
                    bool read_end) {
   auto file = std::make_shared<guestos::FileDescription>();

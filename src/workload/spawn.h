@@ -27,9 +27,6 @@ guestos::Process* SpawnProcess(guestos::Kernel& kernel, const std::string& name,
                                std::function<void(guestos::SyscallApi&)> body,
                                const SpawnOptions& options = {});
 
-// Runs the guest until quiescent and returns the virtual time elapsed.
-Nanos RunFor(guestos::Kernel& kernel);
-
 // Installs one end of a kernel-created pipe into `process`, returning the
 // fd — how injected benchmark processes get pre-wired IPC topologies
 // without a common fork ancestor (lmbench rings, hackbench groups,

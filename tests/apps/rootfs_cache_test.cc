@@ -101,19 +101,17 @@ TEST(RootfsCacheTest, EightThreadStormBuildsEachDistinctKeyOnce) {
 }
 
 TEST(RootfsCacheTest, EvictionDropsTheLeastRecentlyUsedFirst) {
-  RootfsCache cache;  // Unbounded while populating.
+  CacheBudget budget;
+  budget.max_entries = 2;
+  RootfsCache cache(budget);
   const ContainerImage redis = Image("redis");
   const ContainerImage nginx = Image("nginx");
   const ContainerImage hello = Image("hello-world");
   (void)cache.GetOrBuild(redis, {});
   (void)cache.GetOrBuild(nginx, {});
-  (void)cache.GetOrBuild(hello, {});
-  // Touch redis so nginx becomes the LRU entry.
+  // Touch redis so nginx becomes the LRU entry, then overflow the budget.
   (void)cache.GetOrBuild(redis, {});
-
-  CacheBudget budget;
-  budget.max_entries = 2;
-  cache.set_budget(budget);
+  (void)cache.GetOrBuild(hello, {});
   auto stats = cache.stats();
   EXPECT_EQ(stats.entries, 2u);
   EXPECT_EQ(stats.evictions, 1u);
@@ -128,19 +126,17 @@ TEST(RootfsCacheTest, EvictionDropsTheLeastRecentlyUsedFirst) {
 }
 
 TEST(RootfsCacheTest, HeldBlobsArePinnedAgainstEviction) {
-  RootfsCache cache;
+  CacheBudget budget;
+  budget.max_bytes = 1;  // Nothing fits.
+  RootfsCache cache(budget);
   const ContainerImage redis = Image("redis");
   auto held = cache.GetOrBuild(redis, {});  // Keep a live reference.
   (void)cache.GetOrBuild(Image("nginx"), {});
-
-  CacheBudget budget;
-  budget.max_entries = 0;
-  budget.max_bytes = 1;  // Nothing fits.
-  cache.set_budget(budget);
+  (void)cache.GetOrBuild(Image("hello-world"), {});  // Its insertion trims.
 
   // nginx (unreferenced) went; redis is pinned by `held` and stays a hit.
   auto stats = cache.stats();
-  EXPECT_EQ(stats.entries, 1u);
+  EXPECT_EQ(stats.entries, 2u);  // redis and hello-world.
   EXPECT_EQ(stats.evictions, 1u);
   const size_t builds_before = stats.builds;
   EXPECT_EQ(cache.GetOrBuild(redis, {}), held);
@@ -148,8 +144,9 @@ TEST(RootfsCacheTest, HeldBlobsArePinnedAgainstEviction) {
 
   // Dropping the pin makes the entry evictable on the next pass.
   held.reset();
-  cache.set_budget(budget);
-  EXPECT_EQ(cache.stats().entries, 0u);
+  (void)cache.GetOrBuild(Image("nginx"), {});
+  (void)cache.GetOrBuild(redis, {});
+  EXPECT_EQ(cache.stats().builds, builds_before + 2);
 }
 
 TEST(RootfsCacheTest, ChurningKeysStayUnderTheByteBudget) {

@@ -95,7 +95,7 @@ TEST(FleetBootStormTest, VirtualTimelineIsDeterministic) {
 }
 
 TEST(FleetBootTest, AdmissionControllerKeepsFleetUnderBudget) {
-  vmm::FleetAdmissionController admission({1 * kGiB, 0});
+  vmm::FleetAdmissionController admission({1 * kGiB});
   telemetry::MetricRegistry registry;
   admission.set_metrics(&registry);
 
@@ -131,7 +131,7 @@ TEST(FleetBootTest, AdmissionControllerKeepsFleetUnderBudget) {
 
 TEST(FleetBootTest, AdmissionRejectionsCountAsFailures) {
   // A budget no request can ever fit in: every launch is rejected up front.
-  vmm::FleetAdmissionController admission({16 * kMiB, 0});
+  vmm::FleetAdmissionController admission({16 * kMiB});
   FleetBootOptions options;
   options.apps = {"hello-world", "redis"};
   options.memory = 512 * kMiB;  // No min_memory: nothing to degrade to.

@@ -54,7 +54,8 @@ TEST(FleetJournalStorm, CanonicalExportIsByteIdenticalAcrossWorkerCounts) {
     options.journal = &journal;
     auto result = RunFleetBoot(Cache(), options);
     ASSERT_TRUE(result.ok()) << "workers=" << workers;
-    ASSERT_EQ(journal.dropped(), 0u) << "ring too small for byte-identity";
+    ASSERT_EQ(journal.ExportJsonl(true).find(R"("type":"dropped")"), std::string::npos)
+        << "ring too small for byte-identity";
 
     const std::string jsonl = journal.ExportJsonl();
     EXPECT_NE(jsonl.find("\"type\":\"task-start\""), std::string::npos);

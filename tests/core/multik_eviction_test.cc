@@ -1,6 +1,6 @@
 // Bounded retention in the KernelCache: size-aware LRU budgets for kernel
 // images and app artifacts, pinning of everything a caller still holds, and
-// bounded memory under a fleet that keeps rebuilding with churning options.
+// bounded memory under a fleet that keeps cycling through apps.
 #include <gtest/gtest.h>
 
 #include <set>
@@ -9,30 +9,13 @@
 #include <vector>
 
 #include "src/core/multik.h"
-#include "src/kconfig/option_names.h"
+#include "src/kconfig/presets.h"
 #include "src/telemetry/journal.h"
 
 namespace lupine::core {
 namespace {
 
-namespace n = kconfig::names;
-
-// Distinct option subsets -> distinct specialized configs -> distinct kernel
-// fingerprints. Seven independent axes give 128 distinct fleets to churn.
-BuildOptions ChurnOptions(int i) {
-  static const std::vector<std::string> pool = {
-      n::kHugetlbfs, n::kSysvipc, n::kPosixMqueue, n::kCgroups,
-      n::kAudit,     n::kSeccomp, n::kNuma};
-  BuildOptions options;
-  for (size_t bit = 0; bit < pool.size(); ++bit) {
-    if ((static_cast<unsigned>(i) >> bit) & 1u) {
-      options.extra_options.push_back(pool[bit]);
-    }
-  }
-  return options;
-}
-
-TEST(MultikEvictionTest, ChurningExtraOptionsStaysUnderTheKernelByteBudget) {
+TEST(MultikEvictionTest, ChurningAppsStaysUnderTheKernelByteBudget) {
   // Measure one image to size the budget.
   Bytes image_size = 0;
   {
@@ -51,13 +34,14 @@ TEST(MultikEvictionTest, ChurningExtraOptionsStaysUnderTheKernelByteBudget) {
   artifact_budget.max_entries = 2;
   KernelCache cache(BuildOptions{}, artifact_budget, kernel_budget);
 
-  for (int i = 0; i < 100; ++i) {
-    auto artifact = cache.GetOrBuild("hello-world", ChurnOptions(i % 128));
+  const auto& apps = kconfig::Top20AppNames();
+  for (size_t i = 0; i < 100; ++i) {
+    auto artifact = cache.GetOrBuild(apps[i % apps.size()]);
     ASSERT_TRUE(artifact.ok()) << "iteration " << i;
     auto stats = cache.stats();
     // The returned artifact pins its own kernel, so the live store may carry
     // the budget plus the single pinned image, never more.
-    EXPECT_LE(stats.bytes_stored, kernel_budget.max_bytes + image_size)
+    EXPECT_LE(stats.bytes_stored, kernel_budget.max_bytes + (*artifact)->kernel->size)
         << "iteration " << i;
   }
 
@@ -65,24 +49,21 @@ TEST(MultikEvictionTest, ChurningExtraOptionsStaysUnderTheKernelByteBudget) {
   EXPECT_GT(stats.kernel_evictions, 50u);
   EXPECT_GT(stats.artifact_evictions, 50u);
   EXPECT_GT(stats.bytes_evicted, 0u);
-  // bytes_if_unshared keeps counting evicted fleets: the savings figure
+  // bytes_if_unshared keeps counting evicted apps: the savings figure
   // reflects the whole churn, not just the resident slice.
   EXPECT_GT(stats.bytes_if_unshared, stats.bytes_stored);
 }
 
 TEST(MultikEvictionTest, HeldArtifactsPinTheirKernels) {
-  KernelCache cache;
+  CacheBudget one_entry;
+  one_entry.max_entries = 1;
+  KernelCache cache(BuildOptions{}, one_entry, one_entry);
   auto held = cache.GetOrBuild("redis");
   ASSERT_TRUE(held.ok());
-  {
-    // Build nginx but drop the reference: only unpinned entries may go.
-    auto other = cache.GetOrBuild("nginx");
-    ASSERT_TRUE(other.ok());
-  }
-
-  CacheBudget tiny;
-  tiny.max_bytes = 1;
-  cache.set_budgets(tiny, tiny);
+  // Build nginx and drop the reference, then postgres: only unpinned
+  // entries may go.
+  ASSERT_TRUE(cache.GetOrBuild("nginx").ok());
+  ASSERT_TRUE(cache.GetOrBuild("postgres").ok());
 
   // redis (held) survived both levels; nginx (dropped) was evicted.
   auto stats = cache.stats();
@@ -139,7 +120,7 @@ TEST(MultikEvictionTest, BothTiersJournalEvictionsUnderTheirKey) {
       }
     }
   }
-  // The artifact tier keys default-option artifacts by app name.
+  // The artifact tier keys artifacts by app name.
   EXPECT_EQ(evicted, (std::set<std::string>{"redis", redis_fingerprint}));
 }
 

@@ -90,7 +90,7 @@ TEST(MultikTest, FingerprintIgnoresConfigName) {
 }
 
 // The string-keyed fingerprint: the enabled names sorted as strings (not
-// through EnabledIdsByName), a GetValue lookup per name.
+// through EnabledIdsByName), a value lookup per name.
 std::string ReferenceFingerprint(const kconfig::Config& config) {
   std::vector<std::string> names;
   for (kconfig::OptionId id : config.EnabledIds()) {
@@ -99,7 +99,8 @@ std::string ReferenceFingerprint(const kconfig::Config& config) {
   std::sort(names.begin(), names.end());
   std::ostringstream text;
   for (const auto& option : names) {
-    text << option << "=" << config.GetValue(option) << ";";
+    text << option << "=" << config.ValueOfId(kconfig::OptionInterner::Global().Find(option))
+         << ";";
   }
   text << "mode=" << (config.compile_mode() == kconfig::CompileMode::kOs ? "Os" : "O2");
   text << ";kml=" << (config.kml_patch_applied() ? 1 : 0);

@@ -12,6 +12,7 @@
 #include "src/kbuild/builder.h"
 #include "src/kconfig/presets.h"
 #include "src/util/prng.h"
+#include "tests/support/mutator.h"
 
 namespace lupine::guestos {
 namespace {
@@ -123,10 +124,10 @@ TEST_P(RootfsProperty, MountedTreeMatchesSpec) {
 // --- Mutation test of the rootfs mount --------------------------------------
 // Kernel::Boot reads and mounts an image in one pass; the reference is the
 // FsSpec path, MountRootfs(ParseRootfs(blob)) into a fresh Vfs. On every
-// top-20 app image and the bench image, mutated by flipped bytes,
-// truncations, shuffled records, duplicated paths and unknown type bytes,
-// the two must agree on the status, the console line, the dentry-cache
-// pages and the resulting tree.
+// top-20 app image and the bench image, mutated by shuffled records,
+// duplicated paths and unknown type bytes, then by the shared byte mutator's
+// flips and truncations (tests/support/mutator.h), the two must agree on the
+// status, the console line, the dentry-cache pages and the resulting tree.
 
 uint32_t GetU32At(const std::string& blob, size_t pos) {
   uint32_t v = 0;
@@ -194,12 +195,10 @@ std::string Mutate(const std::string& blob, Prng& rng) {
   }
   std::string out = Assemble(blob, records);
   if (rng.NextBool(0.4)) {
-    for (int n = 1 + static_cast<int>(rng.NextBelow(4)); n > 0; --n) {
-      out[rng.NextBelow(out.size())] ^= static_cast<char>(1 + rng.NextBelow(255));
-    }
+    fuzz::FlipBytes(out, rng);
   }
   if (rng.NextBool(0.2)) {
-    out.resize(rng.NextBelow(out.size()));
+    fuzz::Truncate(out, rng);
   }
   return out;
 }

@@ -76,16 +76,6 @@ TEST(BuilderTest, InvalidConfigRejected) {
   EXPECT_FALSE(image.ok());
 }
 
-TEST(BuilderTest, ValidationCanBeDisabledForExperiments) {
-  kconfig::Config broken;
-  broken.Enable(n::kIpv6);
-  ImageBuilder builder;
-  BuildOptions options;
-  options.validate = false;
-  auto image = builder.Build(broken, options);
-  EXPECT_TRUE(image.ok());
-}
-
 TEST(BuilderTest, SizeOfClassAccountsHardwareHeavily) {
   ImageBuilder builder;
   kconfig::Config microvm = kconfig::MicrovmConfig();

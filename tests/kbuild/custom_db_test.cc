@@ -1,34 +1,36 @@
-// End-to-end with a user-defined option tree: Kconfig text -> OptionDb ->
-// resolved config -> built image.
+// End-to-end with a user-defined option tree: OptionDb -> resolved config ->
+// built image.
 #include <gtest/gtest.h>
 
+#include <string>
+#include <vector>
+
 #include "src/kbuild/builder.h"
-#include "src/kconfig/kconfig_lang.h"
 #include "src/kconfig/resolver.h"
 
 namespace lupine::kbuild {
 namespace {
 
-constexpr char kToyTree[] = R"(config CORE
-	bool "core runtime"
+// CORE <- NETWORK <- HTTP (which also selects CORE), 100 KiB each.
+void AddToyTree(kconfig::OptionDb& db) {
+  auto add = [&db](const char* name, std::vector<std::string> depends_on,
+                   std::vector<std::string> selects) {
+    kconfig::OptionInfo info;
+    info.name = name;
+    info.builtin_size = 100 * kKiB;
+    info.depends_on = std::move(depends_on);
+    info.selects = std::move(selects);
+    ASSERT_TRUE(db.Add(std::move(info)));
+  };
+  add("CORE", {}, {});
+  add("NETWORK", {"CORE"}, {});
+  add("HTTP", {"NETWORK"}, {"CORE"});
+}
 
-config NETWORK
-	bool "network stack"
-	depends on CORE
-
-config HTTP
-	bool "http server"
-	depends on NETWORK
-	select CORE
-)";
-
-TEST(CustomDbTest, BuildFromParsedKconfigTree) {
+TEST(CustomDbTest, BuildFromCustomTree) {
   kconfig::OptionDb db;
-  kconfig::KconfigParseOptions parse_options;
-  parse_options.default_size = 100 * kKiB;
-  auto added = kconfig::ParseKconfig(kToyTree, parse_options, db);
-  ASSERT_TRUE(added.ok()) << added.status().ToString();
-  ASSERT_EQ(added.value(), 3u);
+  AddToyTree(db);
+  ASSERT_EQ(db.size(), 3u);
 
   kconfig::Config config("toy");
   kconfig::Resolver resolver(db);
@@ -46,7 +48,7 @@ TEST(CustomDbTest, BuildFromParsedKconfigTree) {
 
 TEST(CustomDbTest, ValidationUsesTheCustomTree) {
   kconfig::OptionDb db;
-  ASSERT_TRUE(kconfig::ParseKconfig(kToyTree, {}, db).ok());
+  AddToyTree(db);
   kconfig::Config broken("broken");
   broken.Enable("HTTP");  // Missing NETWORK.
   ImageBuilder builder(&db);

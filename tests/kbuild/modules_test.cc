@@ -5,7 +5,6 @@
 #include <gtest/gtest.h>
 
 #include "src/kbuild/builder.h"
-#include "src/kconfig/dotconfig.h"
 #include "src/kconfig/option_names.h"
 #include "src/kconfig/presets.h"
 #include "src/kconfig/resolver.h"
@@ -47,14 +46,6 @@ TEST(ModulesTest, MicrovmAllowsModulesLupineDoesNot) {
   EXPECT_TRUE(kconfig::MicrovmConfig().IsEnabled(n::kModules));
   EXPECT_FALSE(kconfig::LupineBase().IsEnabled(n::kModules));
   EXPECT_FALSE(kconfig::LupineGeneral().IsEnabled(n::kModules));
-}
-
-TEST(ModulesTest, DotConfigPreservesModuleState) {
-  kconfig::Config config = kconfig::MicrovmConfig();
-  config.SetValue(n::kIpv6, "m");
-  auto parsed = kconfig::ParseDotConfig(kconfig::ToDotConfig(config));
-  ASSERT_TRUE(parsed.ok());
-  EXPECT_EQ(parsed->GetValue(n::kIpv6), "m");
 }
 
 }  // namespace

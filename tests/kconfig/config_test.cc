@@ -4,6 +4,7 @@
 
 #include <algorithm>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "src/kconfig/presets.h"
@@ -22,6 +23,21 @@ std::vector<std::string> SortedNames(const Config& config) {
   return names;
 }
 
+// The names behind EnabledIdsByName, in its order.
+std::vector<std::string> NamesByName(const Config& config) {
+  std::vector<std::string> names;
+  for (OptionId id : config.EnabledIdsByName()) {
+    names.push_back(OptionInterner::Global().NameOf(id));
+  }
+  return names;
+}
+
+// The stored value of `name`: "" when it was never interned.
+std::string_view ValueOf(const Config& config, std::string_view name) {
+  const OptionId id = OptionInterner::Global().Find(name);
+  return id == kNoOption ? std::string_view() : config.ValueOfId(id);
+}
+
 TEST(ConfigTest, EnableDisable) {
   Config c("test");
   EXPECT_FALSE(c.IsEnabled("FUTEX"));
@@ -37,8 +53,8 @@ TEST(ConfigTest, ValuedOptions) {
   Config c;
   c.SetValue("NR_CPUS", "1");
   EXPECT_TRUE(c.IsEnabled("NR_CPUS"));
-  EXPECT_EQ(c.GetValue("NR_CPUS"), "1");
-  EXPECT_EQ(c.GetValue("MISSING"), "");
+  EXPECT_EQ(ValueOf(c, "NR_CPUS"), "1");
+  EXPECT_EQ(ValueOf(c, "MISSING"), "");
 }
 
 TEST(ConfigTest, MinusComputesDifference) {
@@ -53,41 +69,22 @@ TEST(ConfigTest, MinusComputesDifference) {
   EXPECT_TRUE(b.Minus(a).empty());
 }
 
-TEST(ConfigTest, UnionWith) {
-  Config a;
-  a.Enable("X");
-  Config b;
-  b.Enable("Y");
-  a.UnionWith(b);
-  EXPECT_TRUE(a.IsEnabled("X"));
-  EXPECT_TRUE(a.IsEnabled("Y"));
-  EXPECT_EQ(a.EnabledCount(), 2u);
-}
-
 TEST(ConfigTest, EnabledOptionsSortedAndComplete) {
   Config c;
   c.Enable("B");
   c.Enable("A");
-  auto options = c.EnabledOptions();
+  auto options = NamesByName(c);
   ASSERT_EQ(options.size(), 2u);
   EXPECT_EQ(options[0], "A");
   EXPECT_EQ(options[1], "B");
 
   const Config microvm = MicrovmConfig();
   ASSERT_EQ(microvm.EnabledIds().size(), 833u);
-  EXPECT_EQ(microvm.EnabledOptions(), SortedNames(microvm));
-}
-
-TEST(ConfigTest, EqualityIgnoresName) {
-  Config a("one");
-  Config b("two");
-  a.Enable("X");
-  b.Enable("X");
-  EXPECT_TRUE(a == b);
+  EXPECT_EQ(NamesByName(microvm), SortedNames(microvm));
 }
 
 TEST(ConfigTest, ValueGenerationTracksSideTableMutations) {
-  // Every mutator that can invalidate a GetValue/ValueOfId view bumps the
+  // Every mutator that can invalidate a ValueOfId view bumps the
   // generation; reads never do.
   Config c;
   const uint64_t start = c.value_generation();
@@ -95,7 +92,7 @@ TEST(ConfigTest, ValueGenerationTracksSideTableMutations) {
   EXPECT_GT(c.value_generation(), start);
 
   const uint64_t after_set = c.value_generation();
-  (void)c.GetValue("NR_CPUS");
+  (void)ValueOf(c, "NR_CPUS");
   (void)c.IsEnabled("NR_CPUS");
   EXPECT_EQ(c.value_generation(), after_set);
 
@@ -103,21 +100,19 @@ TEST(ConfigTest, ValueGenerationTracksSideTableMutations) {
   EXPECT_GT(c.value_generation(), after_set);
 
   const uint64_t after_disable = c.value_generation();
-  Config other;
-  other.SetValue("PANIC_TIMEOUT", "-1");
-  c.UnionWith(other);
+  c.Enable("PANIC_TIMEOUT");
   EXPECT_GT(c.value_generation(), after_disable);
 }
 
 TEST(ConfigTest, ValueViewGuardDetectsMutationUnderALiveView) {
   Config c;
   c.SetValue("NR_CPUS", "4");
-  std::string_view view = c.GetValue("NR_CPUS");
+  std::string_view view = ValueOf(c, "NR_CPUS");
   ValueViewGuard guard(c);
   EXPECT_TRUE(guard.Check());
   EXPECT_EQ(view, "4");
 
-  // The copy-before-mutate discipline (see GetValue's lifetime note): take
+  // The copy-before-mutate discipline (see ValueOfId's lifetime note): take
   // the value, then mutate. The guard flags the stale view.
   std::string copy(view);
   c.SetValue("NR_CPUS", "8");

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
 #include <string>
 #include <thread>
 #include <vector>
@@ -12,6 +13,13 @@
 
 namespace lupine::kconfig {
 namespace {
+
+// Interns a name no earlier call used and returns its id. Ids are dense, so
+// it is the number of names interned before it.
+OptionId FreshId() {
+  static std::atomic<int> probes{0};
+  return OptionInterner::Global().Intern("INTERNER_PROBE_" + std::to_string(probes++));
+}
 
 // `run` keeps the names fresh when the test repeats in one process.
 std::string StressName(size_t run, int thread, int i) {
@@ -25,7 +33,7 @@ TEST(InternerTest, ConcurrentInternsReadBackWhileTheTableGrows) {
   constexpr int kThreads = 4;
   constexpr int kPerThread = 5000;
   OptionInterner& interner = OptionInterner::Global();
-  const size_t before = interner.size();
+  const size_t before = FreshId() + 1;
   std::vector<std::vector<OptionId>> ids(kThreads);
   std::vector<int> mismatches(kThreads, 0);
   std::vector<std::thread> threads;
@@ -55,7 +63,7 @@ TEST(InternerTest, ConcurrentInternsReadBackWhileTheTableGrows) {
   }
   // Distinct and dense: exactly the ids [before, before + 20,000).
   std::sort(all.begin(), all.end());
-  ASSERT_EQ(interner.size(), before + all.size());
+  ASSERT_EQ(FreshId(), before + all.size());
   for (size_t k = 0; k < all.size(); ++k) {
     ASSERT_EQ(all[k], before + k);
   }
@@ -78,7 +86,7 @@ std::vector<OptionId> RankSorted(std::vector<OptionId> ids) {
 // Every name comes out in order, whenever its id was first ranked.
 TEST(InternerTest, SortByNameRanksNamesInternedLater) {
   OptionInterner& interner = OptionInterner::Global();
-  const std::string prefix = "INTERNER_RANK_" + std::to_string(interner.size()) + "_";
+  const std::string prefix = "INTERNER_RANK_" + std::to_string(FreshId()) + "_";
   auto id = [&](const char* suffix) { return interner.Intern(prefix + suffix); };
 
   // Interned out of name order, then ranked by the first sort.
@@ -109,7 +117,7 @@ TEST(InternerTest, SortByNameRanksNamesInternedLater) {
 
   // Seeded random subsets of the whole table, in random input order.
   Prng prng(42);
-  const size_t table = interner.size();
+  const size_t table = FreshId();
   for (int round = 0; round < 100; ++round) {
     std::vector<OptionId> subset(1 + prng.NextBelow(300));
     for (OptionId& pick : subset) {
@@ -132,7 +140,7 @@ TEST(InternerTest, ConcurrentSortsWhileNamesArrive) {
   constexpr int kThreads = 4;
   constexpr int kSteps = 200;
   OptionInterner& interner = OptionInterner::Global();
-  const std::string prefix = "INTERNER_RANK_RACE_" + std::to_string(interner.size()) + "_";
+  const std::string prefix = "INTERNER_RANK_RACE_" + std::to_string(FreshId()) + "_";
   std::vector<OptionId> ranked;
   for (int i = 0; i < 100; ++i) {
     ranked.push_back(interner.Intern(prefix + std::to_string(1000 + 10 * i)));

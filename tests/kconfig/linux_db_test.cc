@@ -1,5 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <string_view>
+
 #include "src/kconfig/option_db.h"
 #include "src/kconfig/option_names.h"
 
@@ -7,6 +10,15 @@ namespace lupine::kconfig {
 namespace {
 
 namespace n = names;
+
+size_t CountInClass(const OptionDb& db, OptionClass c) {
+  return std::count_if(db.options().begin(), db.options().end(),
+                       [c](const OptionInfo& o) { return o.option_class == c; });
+}
+
+const OptionInfo* Find(const OptionDb& db, std::string_view name) {
+  return db.FindById(OptionInterner::Global().Find(name));
+}
 
 TEST(LinuxDbTest, TreeHas15953Options) {
   // The paper's count for Linux 4.0 (Section 3.1).
@@ -28,41 +40,41 @@ TEST(LinuxDbTest, DriversIsTheLargestDirectory) {
 
 TEST(LinuxDbTest, Fig4ClassCounts) {
   const auto& db = OptionDb::Linux40();
-  EXPECT_EQ(db.CountInClass(OptionClass::kBase), 283u);
-  EXPECT_EQ(db.CountInClass(OptionClass::kMultiProcess), 89u);
-  EXPECT_EQ(db.CountInClass(OptionClass::kHardware), 150u);
-  size_t app_specific = db.CountInClass(OptionClass::kAppNetwork) +
-                        db.CountInClass(OptionClass::kAppFilesystem) +
-                        db.CountInClass(OptionClass::kAppSyscall) +
-                        db.CountInClass(OptionClass::kAppCompression) +
-                        db.CountInClass(OptionClass::kAppCrypto) +
-                        db.CountInClass(OptionClass::kAppDebug) +
-                        db.CountInClass(OptionClass::kAppOther);
+  EXPECT_EQ(CountInClass(db, OptionClass::kBase), 283u);
+  EXPECT_EQ(CountInClass(db, OptionClass::kMultiProcess), 89u);
+  EXPECT_EQ(CountInClass(db, OptionClass::kHardware), 150u);
+  size_t app_specific = CountInClass(db, OptionClass::kAppNetwork) +
+                        CountInClass(db, OptionClass::kAppFilesystem) +
+                        CountInClass(db, OptionClass::kAppSyscall) +
+                        CountInClass(db, OptionClass::kAppCompression) +
+                        CountInClass(db, OptionClass::kAppCrypto) +
+                        CountInClass(db, OptionClass::kAppDebug) +
+                        CountInClass(db, OptionClass::kAppOther);
   EXPECT_EQ(app_specific, 311u);
 }
 
 TEST(LinuxDbTest, AppSpecificSubcategoryCounts) {
   const auto& db = OptionDb::Linux40();
-  EXPECT_EQ(db.CountInClass(OptionClass::kAppNetwork), 100u);
-  EXPECT_EQ(db.CountInClass(OptionClass::kAppFilesystem), 35u);
-  EXPECT_EQ(db.CountInClass(OptionClass::kAppSyscall), 12u);  // Table 1.
-  EXPECT_EQ(db.CountInClass(OptionClass::kAppCompression), 20u);
-  EXPECT_EQ(db.CountInClass(OptionClass::kAppCrypto), 55u);
-  EXPECT_EQ(db.CountInClass(OptionClass::kAppDebug), 65u);
+  EXPECT_EQ(CountInClass(db, OptionClass::kAppNetwork), 100u);
+  EXPECT_EQ(CountInClass(db, OptionClass::kAppFilesystem), 35u);
+  EXPECT_EQ(CountInClass(db, OptionClass::kAppSyscall), 12u);  // Table 1.
+  EXPECT_EQ(CountInClass(db, OptionClass::kAppCompression), 20u);
+  EXPECT_EQ(CountInClass(db, OptionClass::kAppCrypto), 55u);
+  EXPECT_EQ(CountInClass(db, OptionClass::kAppDebug), 65u);
 }
 
 TEST(LinuxDbTest, NamedOptionsExistWithSaneAttributes) {
   const auto& db = OptionDb::Linux40();
-  const OptionInfo* futex = db.Find(n::kFutex);
+  const OptionInfo* futex = Find(db, n::kFutex);
   ASSERT_NE(futex, nullptr);
   EXPECT_EQ(futex->option_class, OptionClass::kAppSyscall);
   EXPECT_GT(futex->builtin_size, 0u);
 
-  const OptionInfo* smp = db.Find(n::kSmp);
+  const OptionInfo* smp = Find(db, n::kSmp);
   ASSERT_NE(smp, nullptr);
   EXPECT_EQ(smp->option_class, OptionClass::kMultiProcess);
 
-  const OptionInfo* ipv6 = db.Find(n::kIpv6);
+  const OptionInfo* ipv6 = Find(db, n::kIpv6);
   ASSERT_NE(ipv6, nullptr);
   EXPECT_EQ(ipv6->dir, SourceDir::kNet);
   ASSERT_FALSE(ipv6->depends_on.empty());
@@ -71,7 +83,7 @@ TEST(LinuxDbTest, NamedOptionsExistWithSaneAttributes) {
 
 TEST(LinuxDbTest, KmlConflictsWithParavirt) {
   const auto& db = OptionDb::Linux40();
-  const OptionInfo* kml = db.Find(n::kKml);
+  const OptionInfo* kml = Find(db, n::kKml);
   ASSERT_NE(kml, nullptr);
   EXPECT_EQ(kml->option_class, OptionClass::kNotSelected);
   bool conflicts_paravirt = false;
@@ -88,12 +100,6 @@ TEST(LinuxDbTest, DuplicateNamesRejected) {
   EXPECT_TRUE(db.Add(a));
   EXPECT_FALSE(db.Add(a));
   EXPECT_EQ(db.size(), 1u);
-}
-
-TEST(LinuxDbTest, AllInClassAndDirAreConsistent) {
-  const auto& db = OptionDb::Linux40();
-  EXPECT_EQ(db.AllInClass(OptionClass::kBase).size(), db.CountInClass(OptionClass::kBase));
-  EXPECT_EQ(db.AllInDir(SourceDir::kVirt).size(), db.CountInDir(SourceDir::kVirt));
 }
 
 }  // namespace

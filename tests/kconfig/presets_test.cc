@@ -25,8 +25,8 @@ TEST(PresetsTest, LupineBaseHas283Options) {
 TEST(PresetsTest, LupineBaseIsSubsetOfMicrovm) {
   Config microvm = MicrovmConfig();
   Config base = LupineBase();
-  for (const auto& option : base.EnabledOptions()) {
-    EXPECT_TRUE(microvm.IsEnabled(option)) << option;
+  for (OptionId id : base.EnabledIds()) {
+    EXPECT_TRUE(microvm.IsEnabledId(id)) << OptionInterner::Global().NameOf(id);
   }
   EXPECT_EQ(microvm.Minus(base).size(), 550u);  // The removed options.
 }
@@ -73,7 +73,7 @@ TEST(PresetsTest, AppOptionsAreApplicationSpecificOrIpc) {
   const auto& db = OptionDb::Linux40();
   for (const auto& app : Top20AppNames()) {
     for (const auto& option : AppExtraOptions(app)) {
-      const OptionInfo* info = db.Find(option);
+      const OptionInfo* info = db.FindById(OptionInterner::Global().Find(option));
       ASSERT_NE(info, nullptr) << option;
       EXPECT_TRUE(IsRemovedFromMicrovm(info->option_class)) << option;
     }
@@ -89,7 +89,10 @@ TEST(PresetsTest, PostgresNeedsMultiProcessSysvipc) {
     has_sysvipc |= o == n::kSysvipc;
   }
   EXPECT_TRUE(has_sysvipc);
-  EXPECT_EQ(OptionDb::Linux40().Find(n::kSysvipc)->option_class, OptionClass::kMultiProcess);
+  const OptionInfo* sysvipc =
+      OptionDb::Linux40().FindById(OptionInterner::Global().Find(n::kSysvipc));
+  ASSERT_NE(sysvipc, nullptr);
+  EXPECT_EQ(sysvipc->option_class, OptionClass::kMultiProcess);
 }
 
 TEST(PresetsTest, RedisNeedsEpollAndFutexButNotAio) {

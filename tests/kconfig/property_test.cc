@@ -1,7 +1,6 @@
 // Property tests over the configuration engine with PRNG-sampled inputs.
 #include <gtest/gtest.h>
 
-#include "src/kconfig/dotconfig.h"
 #include "src/kconfig/presets.h"
 #include "src/kconfig/resolver.h"
 #include "src/util/prng.h"
@@ -50,38 +49,8 @@ TEST_P(ResolverProperty, EnableIsIdempotent) {
   EXPECT_EQ(config.EnabledCount(), count);
 }
 
-TEST_P(ResolverProperty, DotConfigRoundTripsRandomConfigs) {
-  Prng rng(GetParam() ^ 0x5EED);
-  Resolver resolver(OptionDb::Linux40());
-  Config config;
-  for (const auto& option : SampleOptions(rng, 60)) {
-    (void)resolver.Enable(config, option);
-  }
-  auto parsed = ParseDotConfig(ToDotConfig(config));
-  ASSERT_TRUE(parsed.ok());
-  EXPECT_TRUE(*parsed == config);
-}
-
 INSTANTIATE_TEST_SUITE_P(Seeds, ResolverProperty,
                          ::testing::Values(1u, 2u, 3u, 5u, 8u, 13u, 21u, 34u));
-
-TEST(ConfigProperty, UnionIsCommutativeOnEnabledSets) {
-  Prng rng(99);
-  Resolver resolver(OptionDb::Linux40());
-  Config a;
-  Config b;
-  for (const auto& option : SampleOptions(rng, 30)) {
-    (void)resolver.Enable(a, option);
-  }
-  for (const auto& option : SampleOptions(rng, 30)) {
-    (void)resolver.Enable(b, option);
-  }
-  Config ab = a;
-  ab.UnionWith(b);
-  Config ba = b;
-  ba.UnionWith(a);
-  EXPECT_TRUE(ab == ba);
-}
 
 TEST(ConfigProperty, MinusAndUnionAreConsistent) {
   Config microvm = MicrovmConfig();
@@ -91,7 +60,9 @@ TEST(ConfigProperty, MinusAndUnionAreConsistent) {
   for (const auto& option : removed) {
     rebuilt.Enable(option);
   }
-  EXPECT_TRUE(rebuilt == microvm);
+  EXPECT_EQ(rebuilt.EnabledIds(), microvm.EnabledIds());
+  EXPECT_TRUE(rebuilt.IsSubsetOf(microvm));
+  EXPECT_TRUE(microvm.IsSubsetOf(rebuilt));
 }
 
 }  // namespace

@@ -6,6 +6,7 @@
 #include <fstream>
 #include <sstream>
 #include <string>
+#include <string_view>
 #include <thread>
 #include <vector>
 
@@ -23,8 +24,21 @@ std::string ReadSpecFile(const char* basename) {
   return buffer.str();
 }
 
+// Parses and runs a spec; `reseed`, when non-zero, replaces its seed.
+Result<ScenarioResult> RunText(std::string_view text, const ScenarioOptions& options = {},
+                               uint64_t reseed = 0) {
+  auto spec = ParseScenario(text);
+  if (!spec.ok()) {
+    return spec.status();
+  }
+  if (reseed != 0) {
+    spec->seed = reseed;
+  }
+  return RunScenario(spec.value(), options);
+}
+
 TEST(InterpreterTest, RunsMinimalSpec) {
-  auto result = RunScenarioText(R"({
+  auto result = RunText(R"({
     "name": "mini",
     "groups": [{"name": "g", "workers": 2, "iterations": 10,
                 "actions": [{"op": "syscall_mix", "count": 5, "mix": {"getppid": 1}},
@@ -40,7 +54,7 @@ TEST(InterpreterTest, RunsMinimalSpec) {
 }
 
 TEST(InterpreterTest, PipePingPongCompletes) {
-  auto result = RunScenarioText(ReadSpecFile("pipe_latency.json"));
+  auto result = RunText(ReadSpecFile("pipe_latency.json"));
   ASSERT_TRUE(result.ok()) << result.status().ToString();
   EXPECT_TRUE(result->ok()) << (result->failures.empty() ? "" : result->failures[0]);
   EXPECT_EQ(result->total_iterations, 2000u);
@@ -50,14 +64,14 @@ TEST(InterpreterTest, PipePingPongCompletes) {
 }
 
 TEST(InterpreterTest, DgramFanoutCompletes) {
-  auto result = RunScenarioText(ReadSpecFile("fanout_microservice.json"));
+  auto result = RunText(ReadSpecFile("fanout_microservice.json"));
   ASSERT_TRUE(result.ok()) << result.status().ToString();
   EXPECT_TRUE(result->ok()) << (result->failures.empty() ? "" : result->failures[0]);
   EXPECT_EQ(result->blocked, 0u);
 }
 
 TEST(InterpreterTest, ThreadModeGroupJoinsAllWorkers) {
-  auto result = RunScenarioText(R"({
+  auto result = RunText(R"({
     "name": "threads",
     "groups": [{"name": "t", "workers": 4, "mode": "thread", "iterations": 6,
                 "actions": [{"op": "sem_lock", "compute_ns": 500},
@@ -69,7 +83,7 @@ TEST(InterpreterTest, ThreadModeGroupJoinsAllWorkers) {
 }
 
 TEST(InterpreterTest, ExpectViolationsAreReportedNotFatal) {
-  auto result = RunScenarioText(R"({
+  auto result = RunText(R"({
     "name": "strict",
     "groups": [{"name": "g", "iterations": 2, "actions": [{"op": "yield"}]}],
     "expect": [{"metric": "iterations", "min": 1000000}]
@@ -86,8 +100,8 @@ TEST(InterpreterTest, KmlLowersPipeLatency) {
   kml.kml_override = 1;
   ScenarioOptions nokml;
   nokml.kml_override = 0;
-  auto fast = RunScenarioText(text, kml);
-  auto slow = RunScenarioText(text, nokml);
+  auto fast = RunText(text, kml);
+  auto slow = RunText(text, nokml);
   ASSERT_TRUE(fast.ok()) << fast.status().ToString();
   ASSERT_TRUE(slow.ok()) << slow.status().ToString();
   // Same work, cheaper kernel entries: KML must finish the scenario sooner.
@@ -97,16 +111,13 @@ TEST(InterpreterTest, KmlLowersPipeLatency) {
 
 TEST(InterpreterTest, SameSeedSameFigures) {
   const std::string text = ReadSpecFile("bursty_tenant.json");
-  auto a = RunScenarioText(text);
-  auto b = RunScenarioText(text);
+  auto a = RunText(text);
+  auto b = RunText(text);
   ASSERT_TRUE(a.ok());
   ASSERT_TRUE(b.ok());
   EXPECT_EQ(a->CanonicalFiguresInput(), b->CanonicalFiguresInput());
 
-  ScenarioOptions reseeded;
-  reseeded.has_seed_override = true;
-  reseeded.seed_override = 777;
-  auto c = RunScenarioText(text, reseeded);
+  auto c = RunText(text, {}, /*reseed=*/777);
   ASSERT_TRUE(c.ok());
   // Reseeding reshuffles the mix draws but not the amount of work.
   EXPECT_EQ(a->total_iterations, c->total_iterations);
@@ -140,7 +151,7 @@ TEST(ScenarioStorm, WorkerCountInvariantFiguresAndJournal) {
     ScenarioOptions options;
     options.workers = workers;
     options.journal = &journal;
-    auto result = RunScenarioText(text, options);
+    auto result = RunText(text, options);
     ASSERT_TRUE(result.ok()) << "workers=" << workers << ": "
                              << result.status().ToString();
     const std::string canonical =

@@ -64,11 +64,12 @@ TEST(LoadgenTest, RateScalesArrivalCount) {
 
 TEST(WarmPoolTest, ParkAndTakeAreFifoPerApp) {
   WarmPool pool;
+  telemetry::MetricRegistry registry;
+  pool.set_metrics(&registry);
   pool.Park("a", {nullptr, {}, Millis(1)});
   pool.Park("a", {nullptr, {}, Millis(2)});
   pool.Park("b", {nullptr, {}, Millis(3)});
-  EXPECT_EQ(pool.Size("a"), 2u);
-  EXPECT_EQ(pool.Size("b"), 1u);
+  EXPECT_EQ(registry.GetGauge("warmpool.live").value(), 3);
 
   auto first = pool.TryTake("a");
   ASSERT_TRUE(first.has_value());
@@ -79,12 +80,13 @@ TEST(WarmPoolTest, ParkAndTakeAreFifoPerApp) {
   EXPECT_FALSE(pool.TryTake("a").has_value());
   EXPECT_FALSE(pool.TryTake("missing").has_value());
 
-  auto stats = pool.stats();
-  EXPECT_EQ(stats.parked, 3u);
-  EXPECT_EQ(stats.taken, 2u);
-  EXPECT_EQ(stats.empty_takes, 2u);
-  EXPECT_EQ(stats.live, 1u);
-  EXPECT_EQ(stats.peak_live, 3u);
+  EXPECT_EQ(registry.GetCounter("warmpool.parked").value(), 3u);
+  EXPECT_EQ(registry.GetCounter("warmpool.taken").value(), 2u);
+  EXPECT_EQ(registry.GetCounter("warmpool.empty_takes").value(), 2u);
+  EXPECT_EQ(registry.GetGauge("warmpool.live").value(), 1);
+  auto last = pool.TryTake("b");
+  ASSERT_TRUE(last.has_value());
+  EXPECT_EQ(last->launch_ns, Millis(3));
 }
 
 TEST(ServingTest, WarmHitsDominateAtSteadyStateAndRestoreStaysCheap) {
@@ -111,23 +113,6 @@ TEST(ServingTest, WarmHitsDominateAtSteadyStateAndRestoreStaysCheap) {
   EXPECT_LT(result->ttfr_p50, result->costs.front().cold_ns);
   EXPECT_GE(result->ttfr_p99, result->ttfr_p50);
   EXPECT_GE(result->ttfr_max, result->ttfr_p99);
-}
-
-TEST(ServingTest, PrebakedSnapshotsRemoveTheColdStartEntirely) {
-  core::SnapshotCache snapshots;
-  ServeOptions options;
-  options.tenants = Tenants();
-  options.duration = Seconds(1);
-  options.execute = false;
-  options.prebake_snapshots = true;
-  auto result = RunServing(Cache(), snapshots, options);
-  ASSERT_TRUE(result.ok()) << result.status().ToString();
-  EXPECT_EQ(result->cold_boots, 0u);
-  EXPECT_EQ(result->captures, 0u);
-  EXPECT_GT(result->warm_hits, 0u);
-  // Worst case is an on-demand restore, never a full boot.
-  EXPECT_LT(result->ttfr_max,
-            result->costs.front().cold_ns + result->queue_wait_p99 + Millis(10));
 }
 
 TEST(ServingTest, RecordsAndJournalAreByteIdenticalAcrossWorkerCounts) {

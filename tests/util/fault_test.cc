@@ -88,31 +88,6 @@ TEST(FaultInjectorTest, ProbabilisticScheduleIsSeedDeterministic) {
   EXPECT_NE(a, ProbabilisticSchedule(43, 500));
 }
 
-TEST(FaultInjectorTest, ResetReplaysTheIdenticalSchedule) {
-  FaultPlan plan;
-  plan.seed = 7;
-  plan.Add({.site = FaultSite::kVfsIo, .probability = 0.1});
-  plan.FireOnce(FaultSite::kMemAlloc, 4);
-  FaultInjector injector(plan);
-
-  auto run = [&injector] {
-    std::vector<FaultRecord> log;
-    for (int n = 0; n < 200; ++n) {
-      (void)injector.Check(FaultSite::kVfsIo);
-      (void)injector.Check(FaultSite::kMemAlloc);
-    }
-    return injector.log();
-  };
-  auto first = run();
-  injector.Reset();
-  auto second = run();
-  ASSERT_EQ(first.size(), second.size());
-  for (size_t i = 0; i < first.size(); ++i) {
-    EXPECT_EQ(first[i].site, second[i].site);
-    EXPECT_EQ(first[i].evaluation, second[i].evaluation);
-  }
-}
-
 TEST(FaultInjectorTest, UnrelatedSiteRulesDoNotShiftDeterministicTriggers) {
   // Adding a probabilistic rule at another site must not perturb when a
   // deterministic rule fires (counters are per-site, draws are per-rule).
@@ -154,27 +129,26 @@ TEST(FaultSiteTest, NamesRoundTripThroughFaultSiteFromName) {
   EXPECT_FALSE(FaultSiteFromName("").ok());
 }
 
-TEST(FaultPlanJsonTest, RoundTripsEveryRuleField) {
-  FaultPlan plan;
-  plan.seed = 1234;
-  plan.Add({.site = FaultSite::kBootInitcall, .trigger_on = 1, .period = 1,
-            .probability = 0.0, .max_fires = 2});
-  plan.Add({.site = FaultSite::kNetRecvReset, .probability = 0.25});
-  plan.FireOnce(FaultSite::kMemAlloc, 7);
-
-  auto parsed = FaultPlanFromJson(ToJson(plan));
+TEST(FaultPlanJsonTest, ParsesEveryRuleField) {
+  auto parsed = FaultPlanFromJson(R"({"seed": 1234, "rules": [
+      {"site": "boot-initcall", "trigger_on": 1, "period": 1, "probability": 0,
+       "max_fires": 2},
+      {"site": "net-recv-reset", "probability": 0.25, "app": "redis",
+       "stall_ns": 5000}]})");
   ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
-  EXPECT_EQ(parsed->seed, plan.seed);
-  ASSERT_EQ(parsed->rules.size(), plan.rules.size());
-  for (size_t i = 0; i < plan.rules.size(); ++i) {
-    EXPECT_EQ(parsed->rules[i].site, plan.rules[i].site);
-    EXPECT_EQ(parsed->rules[i].trigger_on, plan.rules[i].trigger_on);
-    EXPECT_EQ(parsed->rules[i].period, plan.rules[i].period);
-    EXPECT_DOUBLE_EQ(parsed->rules[i].probability, plan.rules[i].probability);
-    EXPECT_EQ(parsed->rules[i].max_fires, plan.rules[i].max_fires);
-  }
-  // Serialize -> parse -> serialize is a fixed point (stable data files).
-  EXPECT_EQ(ToJson(*parsed), ToJson(plan));
+  EXPECT_EQ(parsed->seed, 1234u);
+  ASSERT_EQ(parsed->rules.size(), 2u);
+  const FaultRule& first = parsed->rules[0];
+  EXPECT_EQ(first.site, FaultSite::kBootInitcall);
+  EXPECT_EQ(first.trigger_on, 1u);
+  EXPECT_EQ(first.period, 1u);
+  EXPECT_DOUBLE_EQ(first.probability, 0.0);
+  EXPECT_EQ(first.max_fires, 2);
+  const FaultRule& second = parsed->rules[1];
+  EXPECT_EQ(second.site, FaultSite::kNetRecvReset);
+  EXPECT_DOUBLE_EQ(second.probability, 0.25);
+  EXPECT_EQ(second.app, "redis");
+  EXPECT_EQ(second.stall, 5000);
 }
 
 TEST(FaultPlanJsonTest, ParserDefaultsOmittedFields) {

@@ -36,15 +36,6 @@ TEST(FiberTest, YieldSuspendsAndResumes) {
   EXPECT_EQ(order, (std::vector<int>{1, 2, 3, 4, 5}));
 }
 
-TEST(FiberTest, CurrentTracksRunningFiber) {
-  EXPECT_EQ(Fiber::Current(), nullptr);
-  Fiber* seen = nullptr;
-  Fiber fiber([&] { seen = Fiber::Current(); });
-  fiber.Resume();
-  EXPECT_EQ(seen, &fiber);
-  EXPECT_EQ(Fiber::Current(), nullptr);
-}
-
 TEST(FiberTest, NestedFibers) {
   std::vector<int> order;
   Fiber inner([&] {

@@ -36,18 +36,6 @@ TEST(PrngTest, NextBelowStaysInRange) {
   EXPECT_EQ(rng.NextBelow(1), 0u);
 }
 
-TEST(PrngTest, NextInRangeInclusive) {
-  Prng rng(42);
-  std::set<int64_t> seen;
-  for (int i = 0; i < 2000; ++i) {
-    int64_t v = rng.NextInRange(-3, 3);
-    EXPECT_GE(v, -3);
-    EXPECT_LE(v, 3);
-    seen.insert(v);
-  }
-  EXPECT_EQ(seen.size(), 7u);  // All values hit.
-}
-
 TEST(PrngTest, NextDoubleInUnitInterval) {
   Prng rng(7);
   for (int i = 0; i < 1000; ++i) {
@@ -66,21 +54,6 @@ TEST(PrngTest, BoolProbabilityRoughlyRespected) {
     }
   }
   EXPECT_NEAR(trues / 10000.0, 0.25, 0.03);
-}
-
-TEST(PrngTest, ZipfSkewsTowardLowRanks) {
-  Prng rng(11);
-  int low = 0;
-  constexpr int kTrials = 10000;
-  for (int i = 0; i < kTrials; ++i) {
-    uint64_t r = rng.NextZipf(1000, 0.99);
-    EXPECT_LT(r, 1000u);
-    if (r < 100) {
-      ++low;
-    }
-  }
-  // With theta ~1 the first 10% of ranks should get well over half the mass.
-  EXPECT_GT(low, kTrials / 2);
 }
 
 TEST(PrngTest, ForkProducesIndependentStream) {

@@ -36,18 +36,5 @@ TEST(TableTest, SmallValuesKeepPrecision) {
   EXPECT_NE(t.ToString().find("0.0560"), std::string::npos);
 }
 
-TEST(TableTest, CsvEscapesNothingButFormatsRows) {
-  Table t({"a", "b"});
-  t.AddRow("x", 1);
-  t.AddRow("y", 2);
-  // Render CSV through a pipe-backed FILE.
-  char buffer[256] = {};
-  std::FILE* f = fmemopen(buffer, sizeof(buffer), "w");
-  ASSERT_NE(f, nullptr);
-  t.PrintCsv(f);
-  std::fclose(f);
-  EXPECT_STREQ(buffer, "a,b\nx,1\ny,2\n");
-}
-
 }  // namespace
 }  // namespace lupine

@@ -23,16 +23,5 @@ TEST(VirtualClockTest, AdvanceToNeverMovesBackwards) {
   EXPECT_EQ(clock.now(), 700);
 }
 
-TEST(VirtualStopwatchTest, MeasuresElapsed) {
-  VirtualClock clock;
-  VirtualStopwatch watch(clock);
-  clock.Advance(250);
-  EXPECT_EQ(watch.Elapsed(), 250);
-  watch.Restart();
-  EXPECT_EQ(watch.Elapsed(), 0);
-  clock.Advance(10);
-  EXPECT_EQ(watch.Elapsed(), 10);
-}
-
 }  // namespace
 }  // namespace lupine

@@ -2,18 +2,19 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <chrono>
 #include <future>
 #include <mutex>
+#include <string>
 #include <thread>
 #include <vector>
 
+#include "src/telemetry/journal.h"
 #include "src/telemetry/metrics.h"
 
 namespace lupine::vmm {
 namespace {
-
-using Verdict = FleetAdmissionController::Verdict;
 
 void WaitForWaiters(const FleetAdmissionController& controller, size_t n) {
   while (controller.stats().waiting < n) {
@@ -34,7 +35,7 @@ TEST(FleetAdmissionTest, UnlimitedBudgetAdmitsEverythingInFull) {
 }
 
 TEST(FleetAdmissionTest, RejectsRequestThatCanNeverFit) {
-  FleetAdmissionController controller({256 * kMiB, 0});
+  FleetAdmissionController controller({256 * kMiB});
   // 512 MiB with no floor cannot fit even on an idle host.
   Grant grant = controller.Admit({"big", 512 * kMiB, 0});
   EXPECT_FALSE(grant.valid());
@@ -48,7 +49,7 @@ TEST(FleetAdmissionTest, RejectsRequestThatCanNeverFit) {
 }
 
 TEST(FleetAdmissionTest, DegradesToFloorWhenFullDoesNotFit) {
-  FleetAdmissionController controller({1280 * kMiB, 0});
+  FleetAdmissionController controller({1280 * kMiB});
   Grant a = controller.Admit({"a", 512 * kMiB, 0});
   Grant b = controller.Admit({"b", 512 * kMiB, 0});
   // 1024 committed; a third full 512 does not fit, its 128 floor does.
@@ -65,7 +66,7 @@ TEST(FleetAdmissionTest, DegradesToFloorWhenFullDoesNotFit) {
 }
 
 TEST(FleetAdmissionTest, GrantReleasesOnDestructionAndIsIdempotent) {
-  FleetAdmissionController controller({1 * kGiB, 0});
+  FleetAdmissionController controller({1 * kGiB});
   {
     Grant grant = controller.Admit({"a", 512 * kMiB, 0});
     EXPECT_EQ(controller.stats().committed, 512 * kMiB);
@@ -81,7 +82,7 @@ TEST(FleetAdmissionTest, GrantReleasesOnDestructionAndIsIdempotent) {
 }
 
 TEST(FleetAdmissionTest, QueuesUntilBudgetDrainsOnVmExit) {
-  FleetAdmissionController controller({512 * kMiB, 0});
+  FleetAdmissionController controller({512 * kMiB});
   Grant running = controller.Admit({"running", 512 * kMiB, 0});
   ASSERT_TRUE(running.valid());
 
@@ -101,7 +102,7 @@ TEST(FleetAdmissionTest, QueuesUntilBudgetDrainsOnVmExit) {
 }
 
 TEST(FleetAdmissionTest, QueueDrainsInFifoOrder) {
-  FleetAdmissionController controller({512 * kMiB, 0});
+  FleetAdmissionController controller({512 * kMiB});
   Grant running = controller.Admit({"running", 512 * kMiB, 0});
 
   std::mutex mu;
@@ -129,36 +130,39 @@ TEST(FleetAdmissionTest, QueueDrainsInFifoOrder) {
   EXPECT_EQ(order[1], 2);
 }
 
-TEST(FleetAdmissionTest, MaxWaitersRejectsOverflow) {
-  FleetAdmissionController controller({512 * kMiB, 1});
-  Grant running = controller.Admit({"running", 512 * kMiB, 0});
-  auto pending = std::async(std::launch::async,
-                            [&] { return controller.Admit({"queued", 512 * kMiB, 0}); });
+TEST(FleetAdmissionTest, JournalRecordsEveryVerdict) {
+  telemetry::Journal journal;
+  FleetAdmissionController controller({1 * kGiB});
+  controller.set_journal(&journal);
+  Grant a = controller.Admit({"a", 512 * kMiB, 0});
+  Grant b = controller.Admit({"b", 768 * kMiB, 256 * kMiB});  // Degraded.
+  Grant c = controller.Admit({"c", 2 * kGiB, 0});             // Rejected.
+  Grant d = controller.TryAdmit({"d", 512 * kMiB, 0});        // No room now.
+  Grant e = controller.TryAdmit({"e", 256 * kMiB, 0});        // Fills the budget.
+  auto f = std::async(std::launch::async,
+                      [&] { return controller.Admit({"f", 512 * kMiB, 0}); });
   WaitForWaiters(controller, 1);
-  // The queue is at max_waiters: the next launch fails fast.
-  Grant overflow = controller.Admit({"overflow", 512 * kMiB, 0});
-  EXPECT_FALSE(overflow.valid());
-  EXPECT_EQ(controller.stats().rejected, 1u);
-  running.Release();
-  EXPECT_TRUE(pending.get().valid());
-}
+  a.Release();
+  EXPECT_TRUE(f.get().waited());
 
-TEST(FleetAdmissionTest, ProbeReportsEveryVerdict) {
-  FleetAdmissionController unlimited;
-  EXPECT_EQ(unlimited.Probe({"a", 64 * kGiB, 0}), Verdict::kAdmit);
-
-  FleetAdmissionController controller({1 * kGiB, 0});
-  EXPECT_EQ(controller.Probe({"a", 512 * kMiB, 0}), Verdict::kAdmit);
-  EXPECT_EQ(controller.Probe({"a", 2 * kGiB, 0}), Verdict::kReject);
-  Grant held = controller.Admit({"held", 768 * kMiB, 0});
-  EXPECT_EQ(controller.Probe({"b", 512 * kMiB, 128 * kMiB}), Verdict::kDegrade);
-  EXPECT_EQ(controller.Probe({"b", 512 * kMiB, 0}), Verdict::kQueue);
-  EXPECT_STREQ(FleetAdmissionController::VerdictName(Verdict::kDegrade), "degrade");
+  std::vector<std::string> seen;
+  for (const telemetry::Event& event : journal.Snapshot(/*include_schedule_scoped=*/true)) {
+    ASSERT_EQ(event.source, "admission");
+    ASSERT_EQ(event.fields.size(), 3u);
+    seen.push_back(event.type + " " + std::get<std::string>(event.fields[0].value) + " " +
+                   std::get<std::string>(event.fields[1].value) + " " +
+                   std::to_string(std::get<uint64_t>(event.fields[2].value) / kMiB));
+  }
+  std::sort(seen.begin(), seen.end());
+  EXPECT_EQ(seen, (std::vector<std::string>{
+                      "try-verdict d deny 0", "try-verdict e admit 256",
+                      "verdict a admit 512", "verdict b degrade 256", "verdict c reject 0",
+                      "verdict f admit 512", "verdict f queue 0"}));
 }
 
 TEST(FleetAdmissionTest, EmitsMetricsWhenRegistryInstalled) {
   telemetry::MetricRegistry registry;
-  FleetAdmissionController controller({1 * kGiB, 0});
+  FleetAdmissionController controller({1 * kGiB});
   controller.set_metrics(&registry);
   Grant a = controller.Admit({"a", 512 * kMiB, 0});
   Grant b = controller.Admit({"b", 768 * kMiB, 256 * kMiB});  // Degraded.
@@ -183,7 +187,7 @@ TEST(AdmissionStormTest, ConcurrentAdmitHoldReleaseStaysUnderBudget) {
   constexpr Bytes kBudget = 256 * kMiB;
   constexpr size_t kThreads = 8;
   constexpr int kIterations = 50;
-  FleetAdmissionController controller({kBudget, 0});
+  FleetAdmissionController controller({kBudget});
   std::vector<std::thread> threads;
   threads.reserve(kThreads);
   for (size_t t = 0; t < kThreads; ++t) {
@@ -211,7 +215,7 @@ TEST(AdmissionStormTest, ConcurrentAdmitHoldReleaseStaysUnderBudget) {
 
 
 TEST(FleetAdmissionTest, TryAdmitGrantsWhatFitsNowAndNeverBlocks) {
-  FleetAdmissionController controller({1 * kGiB, 0});
+  FleetAdmissionController controller({1 * kGiB});
   Grant a = controller.TryAdmit({"a", 512 * kMiB, 0});
   EXPECT_TRUE(a.valid());
   EXPECT_FALSE(a.waited());
@@ -229,7 +233,7 @@ TEST(FleetAdmissionTest, TryAdmitGrantsWhatFitsNowAndNeverBlocks) {
 }
 
 TEST(FleetAdmissionTest, TryAdmitDegradesToTheFloorWhenFullDoesNotFit) {
-  FleetAdmissionController controller({768 * kMiB, 0});
+  FleetAdmissionController controller({768 * kMiB});
   Grant a = controller.TryAdmit({"a", 512 * kMiB, 0});
   ASSERT_TRUE(a.valid());
   // 512 full does not fit, the 128 floor does: degrade, immediately.
@@ -242,7 +246,7 @@ TEST(FleetAdmissionTest, TryAdmitDegradesToTheFloorWhenFullDoesNotFit) {
 TEST(FleetAdmissionTest, TryAdmitRespectsTheFifoQueue) {
   // A waiter in the blocking queue outranks any TryAdmit: the front door
   // must not starve launches that were promised capacity first.
-  FleetAdmissionController controller({1 * kGiB, 0});
+  FleetAdmissionController controller({1 * kGiB});
   Grant hold = controller.Admit({"hold", 768 * kMiB, 0});
   auto queued = std::async(std::launch::async, [&controller] {
     return controller.Admit({"queued", 512 * kMiB, 0});

@@ -93,16 +93,13 @@ TEST(SupervisorTest, DegradedMemberDoesNotTakeDownTheFleet) {
 TEST(SupervisorTest, BackoffScheduleFollowsThePolicyExactly) {
   FaultInjector faults(FaultPlan{}.FireAlways(FaultSite::kBootInitcall));
   SupervisorPolicy policy;
-  policy.backoff_initial = Millis(100);
-  policy.backoff_multiplier = 2.0;
-  policy.backoff_cap = Millis(400);
   policy.backoff_jitter = 0;  // Exact doubling, no randomness.
   policy.crash_loop_failures = 6;
   Supervisor supervisor(policy);
   supervisor.AddMember("hello", Factory("hello-world", &faults));
   EXPECT_EQ(supervisor.Run(), 1u);
 
-  // Failure n schedules restart n at failure_time + min(cap, 100ms * 2^(n-1)).
+  // Failure n schedules restart n at failure_time + min(30s, 100ms * 2^(n-1)).
   std::vector<Nanos> failures, boots;
   for (const Incident& incident : supervisor.timeline()) {
     if (incident.kind == "boot-failed") {
@@ -113,8 +110,8 @@ TEST(SupervisorTest, BackoffScheduleFollowsThePolicyExactly) {
   }
   ASSERT_EQ(boots.size(), 6u);
   ASSERT_EQ(failures.size(), 6u);
-  const std::vector<Nanos> expected = {Millis(100), Millis(200), Millis(400), Millis(400),
-                                       Millis(400)};
+  const std::vector<Nanos> expected = {Millis(100), Millis(200), Millis(400), Millis(800),
+                                       Millis(1600)};
   for (size_t i = 0; i < expected.size(); ++i) {
     EXPECT_EQ(boots[i + 1] - failures[i], expected[i]) << "restart " << i;
   }
@@ -123,21 +120,19 @@ TEST(SupervisorTest, BackoffScheduleFollowsThePolicyExactly) {
 TEST(SupervisorTest, PolicyCountersWatchGiveupsAndCappedBackoffs) {
   FaultInjector faults(FaultPlan{}.FireAlways(FaultSite::kBootInitcall));
   SupervisorPolicy policy;
-  policy.backoff_initial = Millis(100);
-  policy.backoff_multiplier = 2.0;
-  policy.backoff_cap = Millis(200);  // Saturates on the 2nd restart.
   policy.backoff_jitter = 0;
-  policy.crash_loop_failures = 5;
+  policy.crash_loop_failures = 12;
   telemetry::MetricRegistry registry;
   Supervisor supervisor(policy);
   supervisor.set_metrics(&registry);
   supervisor.AddMember("hello", Factory("hello-world", &faults));
   EXPECT_EQ(supervisor.Run(), 1u);
 
-  // 5 failures => 4 scheduled restarts (the 5th failure degrades instead);
-  // backoffs 100, 200(capped), 200(capped), 200(capped) — 3 hit the cap.
+  // 12 failures => 11 scheduled restarts (the 12th failure degrades
+  // instead), all inside the 300 s window; backoffs 0.1 s doubling to 25.6 s,
+  // then 30 s (capped) twice.
   EXPECT_EQ(registry.GetCounter("supervisor.giveup_total").value(), 1u);
-  EXPECT_EQ(registry.GetCounter("supervisor.backoff_capped_total").value(), 3u);
+  EXPECT_EQ(registry.GetCounter("supervisor.backoff_capped_total").value(), 2u);
 }
 
 TEST(SupervisorTest, JitterDecorrelatesButStaysWithinBounds) {
@@ -224,7 +219,7 @@ TEST(SupervisorTest, HaltedPanicIsOnlyDetectedAtTheNextHealthProbe) {
   EXPECT_EQ(detection(-1), 0) << "rebooting guest notifies the monitor at once";
   const Nanos halted = detection(0);
   EXPECT_GT(halted, 0) << "halted guest sits dead until the next probe";
-  EXPECT_LE(halted, Millis(50));  // Default health_check_interval.
+  EXPECT_LE(halted, Millis(50));  // The health-probe interval.
 }
 
 TEST(MinMemoryProbeFaultTest, InjectedEnomemDefeatsEveryMemorySize) {

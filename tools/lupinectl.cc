@@ -6,15 +6,18 @@
 //   lupinectl trace <app>                                  trace-based manifest
 //   lupinectl lmbench <variant>                            syscall microbench
 //   lupinectl apps                                         list known apps
+#include <charconv>
 #include <cstdio>
 #include <cstring>
+#include <limits>
+#include <optional>
 #include <string>
+#include <system_error>
 #include <vector>
 
 #include "src/core/config_search.h"
 #include "src/core/lupine.h"
 #include "src/core/manifest_gen.h"
-#include "src/kconfig/dotconfig.h"
 #include "src/unikernels/linux_system.h"
 #include "src/workload/app_bench.h"
 #include "src/workload/lmbench.h"
@@ -63,11 +66,30 @@ int CmdBuild(const std::string& app, const std::vector<std::string>& args) {
   return 0;
 }
 
+// The byte count of a --mem value: a whole, non-zero number of MiB whose
+// byte count fits in Bytes. nullopt for anything else.
+std::optional<Bytes> ParseMemMiB(const std::string& text) {
+  Bytes mib = 0;
+  const char* end = text.data() + text.size();
+  const auto [stop, error] = std::from_chars(text.data(), end, mib);
+  if (error != std::errc() || stop != end || mib == 0 ||
+      mib > std::numeric_limits<Bytes>::max() / kMiB) {
+    return std::nullopt;
+  }
+  return mib * kMiB;
+}
+
 int CmdRun(const std::string& app, const std::vector<std::string>& args) {
   Bytes memory = 512 * kMiB;
-  for (size_t i = 0; i + 1 < args.size(); ++i) {
+  for (size_t i = 1; i < args.size(); ++i) {
     if (args[i] == "--mem") {
-      memory = static_cast<Bytes>(std::stoull(args[i + 1])) * kMiB;
+      const std::optional<Bytes> parsed =
+          i + 1 < args.size() ? ParseMemMiB(args[++i]) : std::nullopt;
+      if (!parsed) {
+        std::fprintf(stderr, "lupinectl: --mem takes a positive number of MiB\n");
+        return Usage();
+      }
+      memory = *parsed;
     }
   }
   core::LupineBuilder builder;
@@ -86,7 +108,8 @@ int CmdRun(const std::string& app, const std::vector<std::string>& args) {
     std::printf("state:     %s\n", result.status.ToString().c_str());
   }
   std::printf("\n--- console ---\n%s", result.console.c_str());
-  return result.status.ok() && result.exit_code != 0 ? result.exit_code : 0;
+  // A failed boot is the tool's failure; otherwise the guest's exit code.
+  return result.status.ok() ? result.exit_code : 1;
 }
 
 int CmdSearch(const std::string& app) {
