@@ -29,8 +29,8 @@ std::unique_ptr<vmm::Vm> VmWithKpti(bool kpti) {
   apps::RegisterBuiltinApps();
   vmm::VmSpec spec;
   spec.monitor = vmm::Firecracker();
-  spec.image = image.take();
-  spec.rootfs = apps::BuildBenchRootfs(false);
+  spec.image = std::make_shared<const kbuild::KernelImage>(image.take());
+  spec.rootfs = std::make_shared<const guestos::RootfsImage>(apps::BuildBenchRootfs(false));
   auto vm = std::make_unique<vmm::Vm>(std::move(spec));
   if (!vm->Boot().ok()) {
     return nullptr;

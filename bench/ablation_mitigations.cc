@@ -26,8 +26,9 @@ Result<double> RedisRpsForConfig(kconfig::Config config) {
   apps::RegisterBuiltinApps();
   vmm::VmSpec spec;
   spec.monitor = vmm::Firecracker();
-  spec.image = image.take();
-  spec.rootfs = apps::BuildAppRootfsForApp("redis", config.IsEnabled(kconfig::names::kKml));
+  spec.image = std::make_shared<const kbuild::KernelImage>(image.take());
+  spec.rootfs = std::make_shared<const guestos::RootfsImage>(
+      apps::BuildAppRootfsForApp("redis", config.IsEnabled(kconfig::names::kKml)));
   vmm::Vm vm(std::move(spec));
   if (!workload::BootAppServer(vm, "Ready to accept connections")) {
     return Status(Err::kIo, "redis failed to start");

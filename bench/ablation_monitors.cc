@@ -29,8 +29,9 @@ Result<Nanos> BootWith(const vmm::MonitorProfile& monitor, bool with_pci) {
   apps::RegisterBuiltinApps();
   vmm::VmSpec spec;
   spec.monitor = monitor;
-  spec.image = image.take();
-  spec.rootfs = apps::BuildAppRootfsForApp("hello-world", false);
+  spec.image = std::make_shared<const kbuild::KernelImage>(image.take());
+  spec.rootfs = std::make_shared<const guestos::RootfsImage>(
+      apps::BuildAppRootfsForApp("hello-world", false));
   vmm::Vm vm(std::move(spec));
   if (Status s = vm.Boot(); !s.ok()) {
     return s;

@@ -32,12 +32,13 @@ std::string RootfsCache::CacheKey(const ContainerImage& image,
          (options.kml_libc ? ";kml=1" : ";kml=0");
 }
 
-RootfsCache::BlobPtr RootfsCache::GetOrBuild(const ContainerImage& image,
-                                             const RootfsOptions& options) {
+RootfsCache::ImagePtr RootfsCache::GetOrBuild(const ContainerImage& image,
+                                              const RootfsOptions& options) {
   return store_
       .GetOrCompute(CacheKey(image, options),
-                    [&]() -> Result<BlobPtr> {
-                      return std::make_shared<const std::string>(BuildAppRootfs(image, options));
+                    [&]() -> Result<ImagePtr> {
+                      return std::make_shared<const guestos::RootfsImage>(
+                          BuildAppRootfs(image, options));
                     })
       .take();
 }

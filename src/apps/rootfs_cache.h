@@ -5,9 +5,11 @@
 // byte-identical to the last run. This cache keys blobs by (container-image
 // digest, RootfsOptions) in a ContentStore (apps/content_store.h):
 // concurrent requests for the same key share one build (single flight), and
-// a size-aware LRU keeps the store under a configurable byte/entry budget.
-// Blobs are handed out as shared_ptr<const std::string>; an entry some fleet
-// member still holds is pinned and never evicted.
+// a size-aware LRU keeps the store under a configurable byte/entry budget
+// (counted in blob bytes). Images are handed out as
+// shared_ptr<const guestos::RootfsImage>, the blob plus the tree every boot
+// of it mounts from; an entry some fleet member still holds is pinned and
+// never evicted.
 #ifndef SRC_APPS_ROOTFS_CACHE_H_
 #define SRC_APPS_ROOTFS_CACHE_H_
 
@@ -16,6 +18,7 @@
 
 #include "src/apps/content_store.h"
 #include "src/apps/rootfs_builder.h"
+#include "src/guestos/rootfs.h"
 #include "src/telemetry/journal.h"
 #include "src/telemetry/metrics.h"
 
@@ -23,18 +26,19 @@ namespace lupine::apps {
 
 class RootfsCache {
  public:
-  using BlobPtr = std::shared_ptr<const std::string>;
+  using ImagePtr = std::shared_ptr<const guestos::RootfsImage>;
 
   // Default: unbounded (never evicts), matching the kernel cache.
   explicit RootfsCache(CacheBudget budget = {})
-      : store_("rootfs-cache", [](const std::string& blob) -> Bytes { return blob.size(); },
+      : store_("rootfs-cache",
+               [](const guestos::RootfsImage& rootfs) -> Bytes { return rootfs.blob().size(); },
                budget) {}
 
-  // Returns the (possibly shared) rootfs blob for `image` built with
+  // Returns the (possibly shared) rootfs image for `image` built with
   // `options`, building it at most once per distinct key across all
   // threads. Never fails: rootfs construction is deterministic string
   // assembly.
-  BlobPtr GetOrBuild(const ContainerImage& image, const RootfsOptions& options);
+  ImagePtr GetOrBuild(const ContainerImage& image, const RootfsOptions& options);
 
   // The cache key: a digest over every field of the container image that
   // reaches the blob, plus the build options (a KML rootfs carries a
@@ -61,7 +65,7 @@ class RootfsCache {
 
   // builds: key misses that ran BuildAppRootfs; invalidations: quarantine
   // drops (rebuild-forcing).
-  using Stats = ContentStore<std::string>::Stats;
+  using Stats = ContentStore<guestos::RootfsImage>::Stats;
   Stats stats() const { return store_.stats(); }
 
   // Publishes the current Stats as absolute-valued `rootfscache.*` gauges.
@@ -74,7 +78,7 @@ class RootfsCache {
   void set_journal(telemetry::Journal* journal) { store_.set_journal(journal); }
 
  private:
-  ContentStore<std::string> store_;
+  ContentStore<guestos::RootfsImage> store_;
 };
 
 }  // namespace lupine::apps

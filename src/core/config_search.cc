@@ -27,8 +27,9 @@ std::string TryBoot(const kconfig::Config& config, const apps::AppManifest& mani
   }
   vmm::VmSpec spec;
   spec.monitor = vmm::Firecracker();
-  spec.image = image.take();
-  spec.rootfs = apps::BuildAppRootfsForApp(manifest.name, /*kml_libc=*/false);
+  spec.image = std::make_shared<const kbuild::KernelImage>(image.take());
+  spec.rootfs = std::make_shared<const guestos::RootfsImage>(
+      apps::BuildAppRootfsForApp(manifest.name, /*kml_libc=*/false));
   spec.memory = memory;
   vmm::Vm vm(std::move(spec));
 

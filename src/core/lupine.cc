@@ -13,8 +13,8 @@ namespace lupine::core {
 std::unique_ptr<vmm::Vm> Unikernel::Launch(Bytes memory, FaultInjector* faults) const {
   vmm::VmSpec spec;
   spec.monitor = vmm::Firecracker();
-  spec.image = kernel;
-  spec.rootfs = rootfs;
+  spec.image = std::make_shared<const kbuild::KernelImage>(kernel);
+  spec.rootfs = std::make_shared<const guestos::RootfsImage>(rootfs);
   spec.memory = memory;
   spec.faults = faults;
   return std::make_unique<vmm::Vm>(std::move(spec));

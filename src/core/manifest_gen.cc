@@ -60,8 +60,9 @@ Result<GeneratedManifest> GenerateManifestFromTrace(const std::string& app) {
   }
   vmm::VmSpec spec;
   spec.monitor = vmm::Firecracker();
-  spec.image = image.take();
-  spec.rootfs = apps::BuildAppRootfsForApp(app, /*kml_libc=*/false);
+  spec.image = std::make_shared<const kbuild::KernelImage>(image.take());
+  spec.rootfs = std::make_shared<const guestos::RootfsImage>(
+      apps::BuildAppRootfsForApp(app, /*kml_libc=*/false));
   spec.memory = 512 * kMiB;
   vmm::Vm vm(std::move(spec));
 

@@ -14,8 +14,8 @@ std::unique_ptr<vmm::Vm> KernelCache::AppArtifact::Launch(Bytes memory,
                                                           FaultInjector* faults) const {
   vmm::VmSpec spec;
   spec.monitor = vmm::Firecracker();
-  spec.image = *kernel;
-  spec.rootfs = *rootfs;
+  spec.image = kernel;
+  spec.rootfs = rootfs;
   spec.memory = memory;
   spec.faults = faults;
   spec.boot_plan = boot_plan;
@@ -49,7 +49,7 @@ KernelCache::KernelCache(BuildOptions options, CacheBudget artifact_budget,
       artifacts_(
           "kernel-cache",
           [](const AppArtifact& artifact) -> Bytes {
-            return artifact.rootfs->size() + artifact.init_script.size();
+            return artifact.rootfs->blob().size() + artifact.init_script.size();
           },
           artifact_budget),
       kernels_(
@@ -120,7 +120,7 @@ Result<KernelCache::ArtifactPtr> KernelCache::BuildArtifact(const std::string& a
   }
   KernelPtr kernel = ensured.take();
 
-  // Per-app artifact: the init script is per-app; the rootfs blob is shared
+  // Per-app artifact: the init script is per-app; the rootfs image is shared
   // through the content-addressed rootfs cache.
   apps::ContainerImage image = apps::MakeAlpineImage(*spec.manifest);
   apps::RootfsOptions rootfs_options;

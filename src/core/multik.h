@@ -57,13 +57,14 @@ class KernelCache {
                        CacheBudget kernel_budget = {});
 
   // What a fleet member deploys: a (possibly shared) kernel image with its
-  // precomputed boot plan, plus a (possibly shared) rootfs. All shared
-  // pieces are immutable and reference-counted; an artifact outlives its
-  // cache entry, so holding one across an eviction is safe.
+  // precomputed boot plan, plus a (possibly shared) rootfs image whose
+  // mounted tree every launch starts from. All shared pieces are immutable
+  // and reference-counted; an artifact outlives its cache entry, so holding
+  // one across an eviction is safe.
   struct AppArtifact {
     std::shared_ptr<const kbuild::KernelImage> kernel;
     std::shared_ptr<const guestos::BootPlan> boot_plan;  // Per-image, per-boot reuse.
-    std::shared_ptr<const std::string> rootfs;
+    std::shared_ptr<const guestos::RootfsImage> rootfs;
     std::string init_script;
     // Content identities of the immutable inputs: the kernel config
     // fingerprint and the rootfs cache key. Together (plus guest RAM) they

@@ -1,5 +1,8 @@
 #include "src/guestos/kernel.h"
 
+#include <cassert>
+#include <optional>
+
 #include "src/guestos/syscall_api.h"
 
 namespace lupine::guestos {
@@ -80,14 +83,14 @@ BootPlan ComputeBootPlan(const kbuild::KernelImage& image, const CostModel* cost
   return plan;
 }
 
-Kernel::Kernel(const kbuild::KernelImage& image, Bytes memory_limit,
+Kernel::Kernel(std::shared_ptr<const kbuild::KernelImage> image, Bytes memory_limit,
                const AppRegistry* registry, FaultInjector* faults)
-    : image_(image),
+    : image_(std::move(image)),
       costs_(&DefaultCostModel()),
       registry_(registry != nullptr ? registry : &AppRegistry::Global()),
       faults_(faults != nullptr ? faults : &NullFaultInjector()),
       mm_(std::make_unique<MemoryManager>(memory_limit)),
-      sched_(std::make_unique<Scheduler>(&clock_, costs_, &image_.features)),
+      sched_(std::make_unique<Scheduler>(&clock_, costs_, &image_->features)),
       net_(std::make_unique<NetStack>(sched_.get())),
       futexes_(std::make_unique<FutexTable>(sched_.get())),
       sys_(std::make_unique<SyscallApi>(this)) {
@@ -105,14 +108,14 @@ void Kernel::Phase(const char* name, Nanos duration) {
   }
 }
 
-Status Kernel::Boot(const std::string& rootfs_blob, const BootPlan* plan_in) {
-  const kbuild::KernelFeatures& f = image_.features;
+Status Kernel::Boot(const RootfsImage& rootfs, const BootPlan* plan_in) {
+  const kbuild::KernelFeatures& f = image_->features;
 
   // The image-invariant part of the boot either arrives precomputed (fleet
   // callers derive it once per image) or is derived here for this boot.
   BootPlan local;
   if (plan_in == nullptr) {
-    local = ComputeBootPlan(image_, costs_);
+    local = ComputeBootPlan(*image_, costs_);
     plan_in = &local;
   }
   const BootPlan& plan = *plan_in;
@@ -160,51 +163,45 @@ Status Kernel::Boot(const std::string& rootfs_blob, const BootPlan* plan_in) {
     console_.Write("Warning: no console device configured\n");
   }
 
-  // Mount the root filesystem. A kRootfsCorrupt fault models a bad block
-  // clobbering the superblock: the flipped magic byte makes the mount fail
-  // deterministically (a flip in file payload could go unnoticed).
-  const std::string* blob = &rootfs_blob;
-  std::string corrupted;
-  bool injected_corruption = false;
-  if (faults_->Check(FaultSite::kRootfsCorrupt) && !rootfs_blob.empty()) {
-    corrupted = rootfs_blob;
-    corrupted[0] ^= 0xFF;
-    blob = &corrupted;
-    injected_corruption = true;
+  // Mount the root filesystem: the VFS starts from the image's tree, which
+  // the image's first boot mounted (with the devtmpfs nodes when
+  // configured). A kRootfsCorrupt fault models a bad block clobbering the
+  // superblock: the boot mounts a copy whose flipped magic byte makes the
+  // mount fail deterministically (a flip in file payload could go
+  // unnoticed).
+  const RootfsImage* image = &rootfs;
+  std::optional<RootfsImage> corrupted;
+  if (faults_->Check(FaultSite::kRootfsCorrupt) && !rootfs.blob().empty()) {
+    std::string flipped = rootfs.blob();
+    flipped[0] ^= 0xFF;
+    image = &corrupted.emplace(std::move(flipped));
   }
-  // The whole image is validated before any inode is created; the mount
-  // then reads the records in place.
-  auto records = ReadRootfs(*blob);
-  if (!records.ok()) {
+  const MountedRootfs& mounted = image->Mount(f.devtmpfs);
+  if (mounted.tree == nullptr) {
     console_.Write("VFS: Cannot open root device\n");
-    if (injected_corruption) {
+    if (corrupted.has_value()) {
       // The injected flip models a transient bad-block read, not a
       // malformed image: surface it as an I/O error so the fleet retry
       // policy (and quarantine's rebuild credit) applies. A genuinely
       // malformed blob keeps ReadRootfs's kInval and fails fast.
-      return Status(Err::kIo, "rootfs read error (bad block): " + records.status().message());
+      return Status(Err::kIo, "rootfs read error (bad block): " + mounted.status.message());
     }
-    return records.status();
+    return mounted.status;
   }
-  if (Status s = MountRootfs(records.value(), vfs_); !s.ok()) {
-    return s;
+  vfs_ = Vfs(mounted.tree);
+  if (!mounted.status.ok()) {
+    return mounted.status;
   }
   // Rootfs metadata (inode/dentry cache): one page per 8 entries (distinct
   // paths, records of no known type included).
-  if (Status s = mm_->AllocatePages((records.value().size() + 7) / 8, "dentry-cache"); !s.ok()) {
+  if (Status s = mm_->AllocatePages((mounted.records + 7) / 8, "dentry-cache"); !s.ok()) {
     oom_ = true;
+    // The devtmpfs nodes come after the dentry cache: a boot that stops
+    // here has the rootfs tree without them.
+    vfs_ = Vfs(image->Mount(/*devtmpfs=*/false).tree);
     return s;
   }
   Phase("rootfs-mount", plan.rootfs_mount);
-
-  // Standard device nodes (devtmpfs) and kernel-managed mounts.
-  if (f.devtmpfs) {
-    (void)vfs_.CreateDir("/dev");
-    (void)vfs_.CreateDevice("/dev/null", DevId::kNull);
-    (void)vfs_.CreateDevice("/dev/zero", DevId::kZero);
-    (void)vfs_.CreateDevice("/dev/urandom", DevId::kUrandom);
-    (void)vfs_.CreateDevice("/dev/console", DevId::kConsole);
-  }
 
   console_.Write(plan.banner);
   booted_ = true;
@@ -258,7 +255,7 @@ void Kernel::Panic(const std::string& reason) {
                  " Not tainted 4.0.0-lupine #1\n");
   console_.Write("Call Trace:\n ? panic+0x1a8/0x39e\n ? do_exit+0x3c/0xa80\n");
 
-  const int timeout = image_.features.panic_timeout;
+  const int timeout = image_->features.panic_timeout;
   reboot_on_panic_ = timeout != 0;
   if (timeout > 0) {
     // CONFIG_PANIC_TIMEOUT > 0: sit in the panic loop for N seconds of
@@ -368,6 +365,8 @@ WaitQueue& Kernel::PauseQueue() {
 }
 
 Status Kernel::ChargePageCache(Inode& inode, Bytes logical_size) {
+  // The inode came from Vfs::Resolve, which copied any shared tree first.
+  assert(!vfs_.shared() && "page-cache charge on the shared rootfs tree");
   if (inode.in_page_cache) {
     return Status::Ok();
   }
@@ -380,7 +379,7 @@ Status Kernel::ChargePageCache(Inode& inode, Bytes logical_size) {
   Thread* current = sched_->current();
   if (current != nullptr && current->process() != nullptr &&
       !current->process()->free_run) {
-    sched_->ChargeCpu(costs_->KernelCycles(image_.features,
+    sched_->ChargeCpu(costs_->KernelCycles(image_->features,
                                            static_cast<Nanos>(pages) *
                                                costs_->disk_read_per_page));
   }

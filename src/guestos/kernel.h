@@ -62,11 +62,12 @@ BootPlan ComputeBootPlan(const kbuild::KernelImage& image, const CostModel* cost
 
 class Kernel {
  public:
-  // `memory_limit` is the VM's RAM; `registry` resolves app= entry points
-  // (defaults to the process-global registry). `faults` is a non-owning
-  // fault injector threaded to every subsystem; nullptr means the shared
-  // never-fires null injector (the zero-cost default).
-  Kernel(const kbuild::KernelImage& image, Bytes memory_limit,
+  // `image` is shared with every other kernel booted from it (never
+  // copied). `memory_limit` is the VM's RAM; `registry` resolves app= entry
+  // points (defaults to the process-global registry). `faults` is a
+  // non-owning fault injector threaded to every subsystem; nullptr means
+  // the shared never-fires null injector (the zero-cost default).
+  Kernel(std::shared_ptr<const kbuild::KernelImage> image, Bytes memory_limit,
          const AppRegistry* registry = nullptr, FaultInjector* faults = nullptr);
   ~Kernel();
 
@@ -74,10 +75,12 @@ class Kernel {
   Kernel& operator=(const Kernel&) = delete;
 
   // Guest-side boot: pays decompression/initcall/mount costs on the virtual
-  // clock, charges kernel resident memory, and mounts the rootfs image.
+  // clock, charges kernel resident memory, and mounts the rootfs image: the
+  // VFS starts from the image's tree (RootfsImage::Mount, built by the first
+  // boot of the image) and copies it only when the guest first touches it.
   // `plan` (optional, non-owning) is a precomputed ComputeBootPlan result
   // for this kernel's image; nullptr derives the identical plan locally.
-  Status Boot(const std::string& rootfs_blob, const BootPlan* plan = nullptr);
+  Status Boot(const RootfsImage& rootfs, const BootPlan* plan = nullptr);
 
   // Spawns pid 1 executing `path` (usually /sbin/init, the startup script).
   Result<Process*> StartInit(const std::string& path, std::vector<std::string> argv = {});
@@ -101,8 +104,8 @@ class Kernel {
   TraceLog& trace() { return trace_; }
   const TraceLog& trace() const { return trace_; }
   FaultInjector& faults() { return *faults_; }
-  const kbuild::KernelFeatures& features() const { return image_.features; }
-  const kbuild::KernelImage& image() const { return image_; }
+  const kbuild::KernelFeatures& features() const { return image_->features; }
+  const kbuild::KernelImage& image() const { return *image_; }
   const CostModel& costs() const { return *costs_; }
   const AppRegistry& apps() const { return *registry_; }
   const BootTrace& boot_trace() const { return boot_trace_; }
@@ -151,7 +154,7 @@ class Kernel {
  private:
   void Phase(const char* name, Nanos duration);
 
-  kbuild::KernelImage image_;
+  std::shared_ptr<const kbuild::KernelImage> image_;
   const CostModel* costs_;
   const AppRegistry* registry_;
   FaultInjector* faults_;

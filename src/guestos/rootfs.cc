@@ -165,4 +165,29 @@ Status MountRootfs(const FsSpec& spec, Vfs& vfs) {
   return Status::Ok();
 }
 
+const MountedRootfs& RootfsImage::Mount(bool devtmpfs) const {
+  MountedRootfs& mounted = mounted_[devtmpfs];
+  std::call_once(once_[devtmpfs], [&] {
+    // The whole image is validated before any inode is created; the mount
+    // then reads the records in place.
+    auto records = ReadRootfs(blob_);
+    if (!records.ok()) {
+      mounted.status = records.status();
+      return;
+    }
+    mounted.records = records.value().size();
+    Vfs vfs;
+    mounted.status = MountRootfs(records.value(), vfs);
+    if (mounted.status.ok() && devtmpfs) {
+      (void)vfs.CreateDir("/dev");
+      (void)vfs.CreateDevice("/dev/null", DevId::kNull);
+      (void)vfs.CreateDevice("/dev/zero", DevId::kZero);
+      (void)vfs.CreateDevice("/dev/urandom", DevId::kUrandom);
+      (void)vfs.CreateDevice("/dev/console", DevId::kConsole);
+    }
+    mounted.tree = vfs.Publish();
+  });
+  return mounted;
+}
+
 }  // namespace lupine::guestos

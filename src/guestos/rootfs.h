@@ -4,11 +4,14 @@
 // mounts as its rootfs (Section 3). Our equivalent is a small serialized
 // filesystem blob ("LUPX2" format): a superblock followed by path/type/data
 // records. The builder side lives in src/apps/rootfs_builder.*; this module
-// owns the format itself plus mounting into a Vfs.
+// owns the format itself, mounting into a Vfs, and RootfsImage, which mounts
+// an image once and shares the tree with every boot of it.
 #ifndef SRC_GUESTOS_ROOTFS_H_
 #define SRC_GUESTOS_ROOTFS_H_
 
 #include <map>
+#include <memory>
+#include <mutex>
 #include <span>
 #include <string>
 #include <string_view>
@@ -62,6 +65,37 @@ Status MountRootfs(const FsSpec& spec, Vfs& vfs);
 
 // On-disk size of an image (what the monitor reads at boot).
 inline Bytes RootfsSize(const std::string& blob) { return blob.size(); }
+
+// An image mounted the way a boot mounts it: ReadRootfs, MountRootfs into a
+// fresh Vfs, then (with devtmpfs) the /dev nodes the kernel creates.
+struct MountedRootfs {
+  Status status;       // ReadRootfs's verdict, else MountRootfs's.
+  size_t records = 0;  // Distinct paths ReadRootfs returned (the dentry cache).
+  // The tree; null when ReadRootfs rejected the blob, partial (and without
+  // /dev nodes) when MountRootfs failed midway.
+  std::shared_ptr<const SharedTree> tree;
+};
+
+// A rootfs image: the LUPX2FS blob and, built on first use, its mounted
+// tree for each devtmpfs setting. Each tree is built exactly once, whichever
+// threads ask first, and never written after: every Kernel::Boot of the
+// image, cold or restored, starts its Vfs from it.
+class RootfsImage {
+ public:
+  explicit RootfsImage(std::string blob) : blob_(std::move(blob)) {}
+  RootfsImage(const RootfsImage&) = delete;
+  RootfsImage& operator=(const RootfsImage&) = delete;
+
+  const std::string& blob() const { return blob_; }
+  // The image mounted for a kernel with or without devtmpfs; the first
+  // call for each setting builds it, later calls wait for it or reuse it.
+  const MountedRootfs& Mount(bool devtmpfs) const;
+
+ private:
+  std::string blob_;
+  mutable std::once_flag once_[2];
+  mutable MountedRootfs mounted_[2];
+};
 
 }  // namespace lupine::guestos
 

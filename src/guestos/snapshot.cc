@@ -2,51 +2,32 @@
 
 #include <utility>
 
+#include "src/util/fnv.h"
+
 namespace lupine::guestos {
-namespace {
-
-constexpr uint64_t kFnvOffset = 1469598103934665603ull;
-constexpr uint64_t kFnvPrime = 1099511628211ull;
-
-void Mix(uint64_t& h, uint64_t value) {
-  for (int i = 0; i < 8; ++i) {
-    h ^= (value >> (i * 8)) & 0xff;
-    h *= kFnvPrime;
-  }
-}
-
-void Mix(uint64_t& h, const std::string& s) {
-  Mix(h, static_cast<uint64_t>(s.size()));
-  for (unsigned char c : s) {
-    h ^= c;
-    h *= kFnvPrime;
-  }
-}
-
-}  // namespace
-
 uint64_t KernelStateDigest(const Kernel& kernel) {
   uint64_t h = kFnvOffset;
-  Mix(h, kernel.image().name);
-  Mix(h, static_cast<uint64_t>(kernel.image().size));
-  Mix(h, static_cast<uint64_t>(kernel.mm().limit()));
-  Mix(h, static_cast<uint64_t>(kernel.mm().used()));
-  Mix(h, static_cast<uint64_t>(kernel.mm().peak()));
-  Mix(h, static_cast<uint64_t>(kernel.ProcessCount()));
-  Mix(h, kernel.console().contents());
+  FnvMix(h, kernel.image().name);
+  FnvMix(h, static_cast<uint64_t>(kernel.image().size));
+  FnvMix(h, static_cast<uint64_t>(kernel.mm().limit()));
+  FnvMix(h, static_cast<uint64_t>(kernel.mm().used()));
+  FnvMix(h, static_cast<uint64_t>(kernel.mm().peak()));
+  FnvMix(h, static_cast<uint64_t>(kernel.ProcessCount()));
+  FnvMix(h, kernel.console().contents());
   for (const BootPhase& phase : kernel.boot_trace().phases) {
-    Mix(h, phase.name);
-    Mix(h, static_cast<uint64_t>(phase.duration));
+    FnvMix(h, phase.name);
+    FnvMix(h, static_cast<uint64_t>(phase.duration));
   }
   const auto& stats = kernel.trace().syscall_stats();
   for (size_t nr = 0; nr < stats.size(); ++nr) {
     if (stats[nr].count == 0) {
       continue;
     }
-    Mix(h, static_cast<uint64_t>(nr));
-    Mix(h, stats[nr].count);
-    Mix(h, stats[nr].total_ns);
+    FnvMix(h, static_cast<uint64_t>(nr));
+    FnvMix(h, stats[nr].count);
+    FnvMix(h, stats[nr].total_ns);
   }
+  FnvMix(h, kernel.vfs().Digest());
   return h;
 }
 
@@ -67,7 +48,7 @@ Nanos SnapshotRestoreCost(const CostModel& costs, Bytes captured_bytes) {
 Result<Snapshot> CaptureSnapshot(const Kernel& kernel, std::string key, std::string app,
                                  std::shared_ptr<const kbuild::KernelImage> image,
                                  std::shared_ptr<const BootPlan> boot_plan,
-                                 std::shared_ptr<const std::string> rootfs) {
+                                 std::shared_ptr<const RootfsImage> rootfs) {
   if (kernel.panicked()) {
     return Status(Err::kInval, "cannot snapshot a panicked guest");
   }

@@ -7,16 +7,18 @@
 // cannot be memcpy'd (fiber stacks are host-thread artifacts), so a
 // Snapshot records what a restore needs to *re-materialize* the identical
 // post-init machine deterministically: the immutable inputs (kernel image,
-// boot plan, rootfs blob — all shared cache artifacts) plus a digest of the
+// boot plan, rootfs image — all shared cache artifacts) plus a digest of the
 // captured machine state. Restoring replays Boot()+StartInit() — which
 // rebuilds byte-identical state, because the simulator is deterministic —
 // verifies the digest, and then rebases the virtual timeline so the
 // instance's launch cost is the modeled restore cost, not the boot cost.
 // Like every figure in this repo, the saving lives on the virtual clock: on
 // the host a restore pays for a cold boot up to init plus the digest — the
-// kernel's construction, one pass over the rootfs blob that validates it
-// and mounts its records in place, and init's spawn (bench/host_microbench
-// times it as BM_VmRestore, next to BM_VmColdBoot).
+// kernel's construction, the boot phases, and init's spawn. Neither pays for
+// the rootfs: the replayed mount starts the guest's VFS from the tree the
+// image's first boot built (RootfsImage), and the digest reads that tree's
+// hash, taken once (bench/host_microbench times a restore as BM_VmRestore,
+// next to BM_VmColdBoot).
 //
 // Snapshots are only captured between StartInit() and the first Run(): at
 // that point no fiber has executed, so the state is a pure function of
@@ -47,7 +49,7 @@ struct Snapshot {
   // kernel/rootfs caches; holding a snapshot pins them).
   std::shared_ptr<const kbuild::KernelImage> kernel;
   std::shared_ptr<const BootPlan> boot_plan;
-  std::shared_ptr<const std::string> rootfs;
+  std::shared_ptr<const RootfsImage> rootfs;
 
   Bytes memory = 0;          // Guest RAM at capture; a restore must match.
   Bytes captured_bytes = 0;  // Resident bytes serialized to the memory file.
@@ -60,8 +62,10 @@ struct Snapshot {
 };
 
 // Digest of the machine state a snapshot must reproduce: image identity,
-// process table size, resident/peak memory, console output, boot phases and
-// the per-syscall accounting table. Excludes the clock (a restored guest's
+// process table size, resident/peak memory, console output, boot phases,
+// the per-syscall accounting table and the VFS tree (Vfs::Digest: the
+// shared tree's cached hash, or a walk once the guest owns its tree).
+// Excludes the clock (a restored guest's
 // timeline is rebased) — two guests with equal digests behave identically
 // from here on.
 uint64_t KernelStateDigest(const Kernel& kernel);
@@ -77,7 +81,7 @@ Nanos SnapshotRestoreCost(const CostModel& costs, Bytes captured_bytes);
 Result<Snapshot> CaptureSnapshot(const Kernel& kernel, std::string key, std::string app,
                                  std::shared_ptr<const kbuild::KernelImage> image,
                                  std::shared_ptr<const BootPlan> boot_plan,
-                                 std::shared_ptr<const std::string> rootfs);
+                                 std::shared_ptr<const RootfsImage> rootfs);
 
 }  // namespace lupine::guestos
 

@@ -260,7 +260,7 @@ Result<size_t> SyscallApi::Stat(const std::string& path) {
     return scope.status();
   }
   ChargeKernel(k_->costs().work_stat);
-  auto inode = k_->vfs().Resolve(path);
+  auto inode = k_->vfs().Lookup(path);
   if (!inode.ok()) {
     return inode.status();
   }

@@ -2,6 +2,8 @@
 
 #include <algorithm>
 
+#include "src/util/fnv.h"
+
 namespace lupine::guestos {
 namespace {
 
@@ -33,11 +35,74 @@ std::string NormalizedDir(std::string_view path) {
   return out;
 }
 
+void HashTree(const Inode& node, uint64_t& h) {
+  FnvMix(h, static_cast<uint64_t>(node.type));
+  FnvMix(h, static_cast<uint64_t>(node.dev));
+  FnvMix(h, static_cast<uint64_t>(node.executable));
+  FnvMix(h, node.data);
+  FnvMix(h, node.symlink_target);
+  FnvMix(h, static_cast<uint64_t>(node.children.size()));
+  for (const auto& [name, child] : node.children) {
+    FnvMix(h, name);
+    HashTree(*child, h);
+  }
+}
+
+std::shared_ptr<Inode> CopyTree(const Inode& node) {
+  auto copy = std::make_shared<Inode>();
+  copy->type = node.type;
+  copy->dev = node.dev;
+  copy->data = node.data;
+  copy->symlink_target = node.symlink_target;
+  copy->executable = node.executable;
+  copy->in_page_cache = node.in_page_cache;
+  for (const auto& [name, child] : node.children) {
+    copy->children.emplace_hint(copy->children.end(), name, CopyTree(*child));
+  }
+  return copy;
+}
+
+uint64_t TreeDigest(const Inode& root) {
+  uint64_t h = kFnvOffset;
+  HashTree(root, h);
+  return h;
+}
+
 }  // namespace
 
 Vfs::Vfs() : root_(std::make_shared<Inode>()) { root_->type = InodeType::kDir; }
 
-Result<std::shared_ptr<Inode>> Vfs::Resolve(std::string_view path) const {
+Vfs::Vfs(std::shared_ptr<const SharedTree> tree) : shared_(std::move(tree)) {}
+
+std::shared_ptr<const SharedTree> Vfs::Publish() {
+  Own();
+  auto tree = std::make_shared<SharedTree>();
+  tree->digest = TreeDigest(*root_);
+  tree->root = std::move(root_);
+  shared_ = tree;
+  mounts_.clear();
+  return tree;
+}
+
+void Vfs::Own() {
+  if (shared_ != nullptr) {
+    root_ = CopyTree(*shared_->root);
+    shared_.reset();
+  }
+}
+
+uint64_t Vfs::Digest() const { return shared_ != nullptr ? shared_->digest : TreeDigest(*root_); }
+
+Result<std::shared_ptr<const Inode>> Vfs::Lookup(std::string_view path) const {
+  auto node = Walk(path, 0, /*names_parent=*/false);
+  if (!node.ok()) {
+    return node.status();
+  }
+  return std::shared_ptr<const Inode>(*node.value());
+}
+
+Result<std::shared_ptr<Inode>> Vfs::Resolve(std::string_view path) {
+  Own();
   auto node = Walk(path, 0, /*names_parent=*/false);
   if (!node.ok()) {
     return node.status();
@@ -53,7 +118,7 @@ Result<const std::shared_ptr<Inode>*> Vfs::Walk(std::string_view path, int depth
   if (depth > kMaxSymlinkDepth) {
     return fail(Err::kIo, ": too many levels of symbolic links");
   }
-  const std::shared_ptr<Inode>* node = &root_;
+  const std::shared_ptr<Inode>* node = &Root();
   // The directories above `node`, for "..": only a path with one keeps them.
   const bool has_dotdot = path.find("..") != std::string_view::npos;
   std::vector<const std::shared_ptr<Inode>*> above;
@@ -96,7 +161,8 @@ Result<const std::shared_ptr<Inode>*> Vfs::Walk(std::string_view path, int depth
   return node;
 }
 
-Result<std::pair<Inode*, std::string_view>> Vfs::WalkToParent(std::string_view path) const {
+Result<std::pair<Inode*, std::string_view>> Vfs::WalkToParent(std::string_view path) {
+  Own();
   const size_t leaf_end = path.find_last_not_of('/');
   if (leaf_end == std::string_view::npos) {
     return Status(Err::kInval, "cannot take parent of /");
@@ -129,6 +195,7 @@ Result<std::shared_ptr<Inode>> Vfs::CreateFile(std::string_view path, std::strin
 }
 
 Result<std::shared_ptr<Inode>> Vfs::CreateDir(std::string_view path) {
+  Own();
   const std::shared_ptr<Inode>* node = &root_;
   size_t pos = 0;
   for (std::string_view part = NextComponent(path, pos); !part.empty();

@@ -4,9 +4,16 @@
 // tmpfs mounts, the synthesized /proc and /sys trees, and the character
 // devices the startup scripts and lmbench expect (/dev/null, /dev/zero,
 // /dev/urandom, /dev/console).
+//
+// A Vfs may start from a SharedTree, the rootfs mounted once per image
+// (rootfs.h's RootfsImage) and shared by every boot of it. It reads that
+// tree in place and deep-copies it the first time a call could change it or
+// hand one of its inodes to the guest, so a guest that never touches its
+// filesystem never pays for a tree of its own.
 #ifndef SRC_GUESTOS_VFS_H_
 #define SRC_GUESTOS_VFS_H_
 
+#include <cstdint>
 #include <map>
 #include <memory>
 #include <string>
@@ -71,15 +78,34 @@ class FileDescription {
   uint64_t counter = 0;  // eventfd value / timerfd expirations.
 };
 
+// A tree published for sharing. Nothing writes it once published, so any
+// number of Vfs instances on any threads may start from it.
+struct SharedTree {
+  std::shared_ptr<Inode> root;
+  uint64_t digest = 0;  // Vfs::Digest of the tree, taken at publication.
+};
+
 class Vfs {
  public:
+  // An empty root directory of its own.
   Vfs();
+  // Starts from `tree`, shared until the first call that copies it.
+  explicit Vfs(std::shared_ptr<const SharedTree> tree);
+
+  // Publishes this Vfs's tree (its mounts are not part of it) and goes on
+  // sharing it like every other Vfs that starts from it.
+  std::shared_ptr<const SharedTree> Publish();
 
   // Path resolution relative to root; "." and ".." are normalized,
-  // symlinks followed (depth-limited).
-  Result<std::shared_ptr<Inode>> Resolve(std::string_view path) const;
-  bool Exists(std::string_view path) const { return Resolve(path).ok(); }
+  // symlinks followed (depth-limited). Lookup only reads and never copies
+  // the tree. Resolve is for a caller that may write the inode or hand it
+  // to the guest (open, exec, the page cache): it copies a shared tree
+  // first.
+  Result<std::shared_ptr<const Inode>> Lookup(std::string_view path) const;
+  Result<std::shared_ptr<Inode>> Resolve(std::string_view path);
+  bool Exists(std::string_view path) const { return Lookup(path).ok(); }
 
+  // Create*, Unlink and Mount copy a shared tree first.
   // CreateFile/CreateDevice/CreateSymlink/Unlink walk once to the
   // directory holding the path's last component (following symlinks, like
   // Resolve) and act on that name. CreateDir is mkdir -p: it creates every
@@ -97,17 +123,29 @@ class Vfs {
   Status Mount(const std::string& fstype, const std::string& path);
   bool IsMounted(const std::string& path) const;
 
-  const std::shared_ptr<Inode>& root() const { return root_; }
+  std::shared_ptr<const Inode> root() const { return Root(); }
+  // True until the first call that copies a shared tree.
+  bool shared() const { return shared_ != nullptr; }
+  // Content hash of the tree: every name, type, device, executable bit,
+  // payload and symlink target (not page-cache state). A shared tree's was
+  // taken once when it was published; this Vfs's own tree is walked.
+  uint64_t Digest() const;
 
  private:
+  const std::shared_ptr<Inode>& Root() const { return shared_ != nullptr ? shared_->root : root_; }
+  // Replaces a shared tree with a deep copy of it.
+  void Own();
+
   // Walks `path` from the root. Errors name `path` as given, or, when
   // `names_parent`, as the normalized directory "/a/b/" a Create* walked.
   Result<const std::shared_ptr<Inode>*> Walk(std::string_view path, int depth,
                                              bool names_parent) const;
-  // The directory holding `path`'s last component, and that component.
-  Result<std::pair<Inode*, std::string_view>> WalkToParent(std::string_view path) const;
+  // The directory holding `path`'s last component, and that component, in
+  // this Vfs's own tree (a shared one is copied first).
+  Result<std::pair<Inode*, std::string_view>> WalkToParent(std::string_view path);
 
-  std::shared_ptr<Inode> root_;
+  std::shared_ptr<const SharedTree> shared_;  // Set until Own() copies it.
+  std::shared_ptr<Inode> root_;               // This Vfs's own tree.
   std::vector<std::string> mounts_;
 };
 

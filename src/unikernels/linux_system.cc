@@ -96,9 +96,9 @@ Result<std::unique_ptr<vmm::Vm>> LinuxSystem::MakeVm(const std::string& app, Byt
   }
   vmm::VmSpec vm_spec;
   vm_spec.monitor = vmm::Firecracker();
-  vm_spec.image = image.take();
-  vm_spec.rootfs = bench_rootfs ? apps::BuildBenchRootfs(spec_.kml)
-                                : apps::BuildAppRootfsForApp(app, spec_.kml);
+  vm_spec.image = std::make_shared<const kbuild::KernelImage>(image.take());
+  vm_spec.rootfs = std::make_shared<const guestos::RootfsImage>(
+      bench_rootfs ? apps::BuildBenchRootfs(spec_.kml) : apps::BuildAppRootfsForApp(app, spec_.kml));
   vm_spec.memory = memory;
   vm_spec.faults = faults;
   return std::make_unique<vmm::Vm>(std::move(vm_spec));

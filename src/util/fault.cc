@@ -1,7 +1,8 @@
 #include "src/util/fault.h"
 
-#include <cctype>
-#include <cstdlib>
+#include <cmath>
+
+#include "src/util/json.h"
 
 namespace lupine {
 
@@ -45,199 +46,116 @@ Result<FaultSite> FaultSiteFromName(const std::string& name) {
 
 namespace {
 
-// A deliberately small recursive-descent JSON reader: objects, arrays,
-// strings (no escapes beyond \" and \\ — site names need none), numbers and
-// the literals. Plans are trusted repo data files, not a hostile wire
-// format, but malformed input still fails with a position, never crashes.
-class JsonReader {
- public:
-  explicit JsonReader(const std::string& text) : text_(text) {}
+Status PlanError(const std::string& what, size_t offset) {
+  return Status(Err::kInval, "fault plan JSON: " + what + " at offset " + std::to_string(offset));
+}
 
-  Status Fail(const std::string& what) {
-    return Status(Err::kInval,
-                  "fault plan JSON: " + what + " at offset " + std::to_string(pos_));
+// The value of `key` as an integer in [min, 2^bits): a fraction, a count out
+// of range (a negative trigger, 1e400) or a non-number is rejected, never
+// cast.
+Result<double> ReadInteger(const std::string& key, const JsonValue& value, double min,
+                           int bits) {
+  if (!value.is_number()) {
+    return PlanError("\"" + key + "\" must be a number", value.offset);
   }
-
-  void SkipSpace() {
-    while (pos_ < text_.size() && std::isspace(static_cast<unsigned char>(text_[pos_]))) {
-      ++pos_;
-    }
+  const double n = value.number;
+  if (!(n >= min && n < std::ldexp(1.0, bits)) || n != std::floor(n)) {
+    return PlanError("\"" + key + "\" must be an integer in [" +
+                         std::to_string(static_cast<int>(min)) + ", 2^" + std::to_string(bits) +
+                         ")",
+                     value.offset);
   }
+  return n;
+}
 
-  bool Consume(char c) {
-    SkipSpace();
-    if (pos_ < text_.size() && text_[pos_] == c) {
-      ++pos_;
-      return true;
-    }
-    return false;
+Result<FaultRule> ParseRule(const JsonValue& doc) {
+  if (!doc.is_object()) {
+    return PlanError("expected rule object", doc.offset);
   }
-
-  bool AtEnd() {
-    SkipSpace();
-    return pos_ >= text_.size();
-  }
-
-  Result<std::string> ReadString() {
-    if (!Consume('"')) {
-      return Fail("expected string");
-    }
-    std::string out;
-    while (pos_ < text_.size() && text_[pos_] != '"') {
-      char c = text_[pos_++];
-      if (c == '\\' && pos_ < text_.size()) {
-        c = text_[pos_++];
-        if (c != '"' && c != '\\') {
-          return Fail("unsupported escape");
-        }
-      }
-      out.push_back(c);
-    }
-    if (pos_ >= text_.size()) {
-      return Fail("unterminated string");
-    }
-    ++pos_;  // Closing quote.
-    return out;
-  }
-
-  Result<double> ReadNumber() {
-    SkipSpace();
-    const size_t start = pos_;
-    while (pos_ < text_.size() &&
-           (std::isdigit(static_cast<unsigned char>(text_[pos_])) || text_[pos_] == '-' ||
-            text_[pos_] == '+' || text_[pos_] == '.' || text_[pos_] == 'e' ||
-            text_[pos_] == 'E')) {
-      ++pos_;
-    }
-    if (pos_ == start) {
-      return Fail("expected number");
-    }
-    char* end = nullptr;
-    const std::string token = text_.substr(start, pos_ - start);
-    const double value = std::strtod(token.c_str(), &end);
-    if (end == nullptr || *end != '\0') {
-      return Fail("malformed number '" + token + "'");
-    }
-    return value;
-  }
-
- private:
-  const std::string& text_;
-  size_t pos_ = 0;
-};
-
-Status ParseRule(JsonReader& reader, FaultRule& rule) {
-  if (!reader.Consume('{')) {
-    return reader.Fail("expected rule object");
-  }
+  FaultRule rule;
   bool site_seen = false;
-  if (!reader.Consume('}')) {
-    do {
-      auto key = reader.ReadString();
-      if (!key.ok()) {
-        return key.status();
+  for (const auto& [key, value] : doc.object) {
+    if (key == "site" || key == "app") {
+      if (!value.is_string()) {
+        return PlanError("\"" + key + "\" must be a string", value.offset);
       }
-      if (!reader.Consume(':')) {
-        return reader.Fail("expected ':' after \"" + *key + "\"");
-      }
-      if (*key == "site") {
-        auto name = reader.ReadString();
-        if (!name.ok()) {
-          return name.status();
-        }
-        auto site = FaultSiteFromName(*name);
-        if (!site.ok()) {
-          return site.status();
-        }
-        rule.site = *site;
-        site_seen = true;
+      if (key == "app") {
+        rule.app = value.str;
         continue;
       }
-      if (*key == "app") {
-        auto app = reader.ReadString();
-        if (!app.ok()) {
-          return app.status();
-        }
-        rule.app = *app;
-        continue;
+      auto site = FaultSiteFromName(value.str);
+      if (!site.ok()) {
+        return PlanError(site.status().message(), value.offset);
       }
-      auto number = reader.ReadNumber();
-      if (!number.ok()) {
-        return number.status();
+      rule.site = *site;
+      site_seen = true;
+    } else if (key == "probability") {
+      if (!value.is_number()) {
+        return PlanError("\"probability\" must be a number", value.offset);
       }
-      if (*key == "trigger_on") {
-        rule.trigger_on = static_cast<uint64_t>(*number);
-      } else if (*key == "period") {
-        rule.period = static_cast<uint64_t>(*number);
-      } else if (*key == "probability") {
-        rule.probability = *number;
-      } else if (*key == "max_fires") {
-        rule.max_fires = static_cast<int>(*number);
-      } else if (*key == "stall_ns") {
-        rule.stall = static_cast<Nanos>(*number);
-      } else {
-        return reader.Fail("unknown rule key \"" + *key + "\"");
+      rule.probability = value.number;
+    } else if (key == "trigger_on" || key == "period") {
+      auto n = ReadInteger(key, value, 0, 64);
+      if (!n.ok()) {
+        return n.status();
       }
-    } while (reader.Consume(','));
-    if (!reader.Consume('}')) {
-      return reader.Fail("expected '}' closing rule");
+      (key == "trigger_on" ? rule.trigger_on : rule.period) = static_cast<uint64_t>(*n);
+    } else if (key == "max_fires") {
+      // -1 means unlimited.
+      auto n = ReadInteger(key, value, -1, 31);
+      if (!n.ok()) {
+        return n.status();
+      }
+      rule.max_fires = static_cast<int>(*n);
+    } else if (key == "stall_ns") {
+      auto n = ReadInteger(key, value, 0, 63);
+      if (!n.ok()) {
+        return n.status();
+      }
+      rule.stall = static_cast<Nanos>(*n);
+    } else {
+      return PlanError("unknown rule key \"" + key + "\"", value.key_offset);
     }
   }
   if (!site_seen) {
-    return reader.Fail("rule missing \"site\"");
+    return PlanError("rule missing \"site\"", doc.offset);
   }
-  return Status::Ok();
+  return rule;
 }
 
 }  // namespace
 
 Result<FaultPlan> FaultPlanFromJson(const std::string& json) {
-  JsonReader reader(json);
+  JsonParseError error;
+  auto doc = ParseJson(json, JsonParseOptions{}, &error);
+  if (!doc.ok()) {
+    return PlanError(error.what, error.offset);
+  }
+  if (!doc->is_object()) {
+    return PlanError("expected top-level object", doc->offset);
+  }
   FaultPlan plan;
-  if (!reader.Consume('{')) {
-    return reader.Fail("expected top-level object");
-  }
-  if (!reader.Consume('}')) {
-    do {
-      auto key = reader.ReadString();
-      if (!key.ok()) {
-        return key.status();
+  for (const auto& [key, value] : doc->object) {
+    if (key == "seed") {
+      auto seed = ReadInteger(key, value, 0, 64);
+      if (!seed.ok()) {
+        return seed.status();
       }
-      if (!reader.Consume(':')) {
-        return reader.Fail("expected ':' after \"" + *key + "\"");
+      plan.seed = static_cast<uint64_t>(*seed);
+    } else if (key == "rules") {
+      if (!value.is_array()) {
+        return PlanError("expected rules array", value.offset);
       }
-      if (*key == "seed") {
-        auto seed = reader.ReadNumber();
-        if (!seed.ok()) {
-          return seed.status();
+      for (const JsonValue& entry : value.array) {
+        auto rule = ParseRule(entry);
+        if (!rule.ok()) {
+          return rule.status();
         }
-        plan.seed = static_cast<uint64_t>(*seed);
-      } else if (*key == "rules") {
-        if (!reader.Consume('[')) {
-          return reader.Fail("expected rules array");
-        }
-        if (!reader.Consume(']')) {
-          do {
-            FaultRule rule;
-            if (Status s = ParseRule(reader, rule); !s.ok()) {
-              return s;
-            }
-            plan.rules.push_back(rule);
-          } while (reader.Consume(','));
-          if (!reader.Consume(']')) {
-            return reader.Fail("expected ']' closing rules");
-          }
-        }
-      } else {
-        return reader.Fail("unknown plan key \"" + *key + "\"");
+        plan.rules.push_back(*rule);
       }
-    } while (reader.Consume(','));
-    if (!reader.Consume('}')) {
-      return reader.Fail("expected '}' closing plan");
+    } else {
+      return PlanError("unknown plan key \"" + key + "\"", value.key_offset);
     }
-  }
-  if (!reader.AtEnd()) {
-    return reader.Fail("trailing content after plan");
   }
   return plan;
 }

@@ -106,9 +106,12 @@ struct FaultPlan {
 //   {"seed": 42, "rules": [{"site": "boot-initcall", "trigger_on": 1,
 //                           "period": 1, "probability": 0.0, "max_fires": 2}]}
 //
-// A rule may also carry "app" and "stall_ns". The parser defaults omitted
-// fields to the FaultRule defaults and rejects unknown keys, unknown sites
-// and malformed documents.
+// A rule may also carry "app" and "stall_ns". The document goes through
+// util/json's ParseJson; omitted fields keep the FaultRule defaults. Unknown
+// keys, unknown sites, counts that are not integers in range ("seed",
+// "trigger_on" and "period" in [0, 2^64), "max_fires" in [-1, 2^31) with -1
+// meaning unlimited, "stall_ns" in [0, 2^63)) and malformed documents fail
+// with kInval and a message naming the byte offset of the fault.
 Result<FaultPlan> FaultPlanFromJson(const std::string& json);
 
 // One fault that actually fired.

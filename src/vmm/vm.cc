@@ -16,7 +16,7 @@ Status Vm::Boot() {
   // write through a stale pointer.
   spans_.Clear();
   kernel_->set_boot_spans(&spans_);
-  Nanos monitor_time = MonitorSetupTime(spec_.monitor, spec_.image.size);
+  Nanos monitor_time = MonitorSetupTime(spec_.monitor, spec_.image->size);
   kernel_->clock().Advance(monitor_time);
   report_.phases.push_back({"monitor:" + spec_.monitor.name, monitor_time});
   spans_.Record("monitor:" + spec_.monitor.name, 0, monitor_time);
@@ -25,7 +25,7 @@ Status Vm::Boot() {
   // enumeration; our feature check happens in the kernel, which prices PCI
   // enumeration only when configured (and QEMU-style monitors always expose
   // the bus, so the config decides).
-  if (Status s = kernel_->Boot(spec_.rootfs, spec_.boot_plan.get()); !s.ok()) {
+  if (Status s = kernel_->Boot(*spec_.rootfs, spec_.boot_plan.get()); !s.ok()) {
     kernel_->set_boot_spans(nullptr);
     return s;
   }
@@ -88,8 +88,8 @@ Result<std::unique_ptr<Vm>> Vm::Restore(const guestos::Snapshot& snapshot,
 
   VmSpec spec;
   spec.monitor = Firecracker();
-  spec.image = *snapshot.kernel;
-  spec.rootfs = *snapshot.rootfs;
+  spec.image = snapshot.kernel;
+  spec.rootfs = snapshot.rootfs;
   spec.memory = snapshot.memory;
   spec.boot_plan = snapshot.boot_plan;
   // No injector is threaded into the replay: the boot being re-materialized

@@ -18,8 +18,11 @@ namespace lupine::vmm {
 
 struct VmSpec {
   MonitorProfile monitor;
-  kbuild::KernelImage image;
-  std::string rootfs;        // LUPX2FS blob.
+  // The kernel image and the rootfs image, shared with every VM booted from
+  // them: the kernel keeps the image pointer, and the rootfs image holds the
+  // mounted tree every boot starts from.
+  std::shared_ptr<const kbuild::KernelImage> image;
+  std::shared_ptr<const guestos::RootfsImage> rootfs;
   Bytes memory = 512 * kMiB; // Guest RAM (the paper's default).
   // Non-owning fault injector threaded through the guest kernel. Lives
   // outside the Vm so its counters survive a supervisor restart (a fresh Vm
@@ -81,12 +84,15 @@ class Vm {
   // is rebased so boot_report().to_init == snapshot.restore_ns, the launch
   // cost a serving fleet actually pays. The host pays for the replay: a
   // restore costs a cold Boot() plus the digest (BM_VmRestore and
-  // BM_VmColdBoot in bench/host_microbench). `faults` (non-owning, optional) is
-  // consulted at FaultSite::kSnapshotRestore before the replay — a corrupt
-  // memory file fails the restore with kIo (retryable), and the caller
-  // should report the failure to its SnapshotCache so the entry is
-  // quarantined. Digest mismatches fail kIo the same way. The restored VM
-  // has never run a fiber, so it may be parked and later run on any thread.
+  // BM_VmColdBoot in bench/host_microbench). Neither mounts the rootfs
+  // again: the guest's VFS starts from the tree the snapshot's RootfsImage
+  // built once, and the digest reads that tree's cached hash. `faults`
+  // (non-owning, optional) is consulted at FaultSite::kSnapshotRestore
+  // before the replay — a corrupt memory file fails the restore with kIo
+  // (retryable), and the caller should report the failure to its
+  // SnapshotCache so the entry is quarantined. Digest mismatches fail kIo
+  // the same way. The restored VM has never run a fiber, so it may be
+  // parked and later run on any thread.
   static Result<std::unique_ptr<Vm>> Restore(const guestos::Snapshot& snapshot,
                                              FaultInjector* faults = nullptr,
                                              const guestos::AppRegistry* registry = nullptr);

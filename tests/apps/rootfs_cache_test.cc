@@ -48,7 +48,7 @@ TEST(RootfsCacheTest, KmlOptionNeverCollapsesIntoThePlainKey) {
   auto plain_blob = cache.GetOrBuild(image, plain);
   auto kml_blob = cache.GetOrBuild(image, kml);
   EXPECT_NE(plain_blob, kml_blob);
-  EXPECT_NE(*plain_blob, *kml_blob);
+  EXPECT_NE(plain_blob->blob(), kml_blob->blob());
   EXPECT_EQ(cache.stats().builds, 2u);
 }
 
@@ -62,7 +62,7 @@ TEST(RootfsCacheTest, SecondRequestIsAHitOnTheSameBlob) {
   EXPECT_EQ(stats.requests, 2u);
   EXPECT_EQ(stats.builds, 1u);
   EXPECT_EQ(stats.hits, 1u);
-  EXPECT_EQ(stats.bytes_stored, first->size());
+  EXPECT_EQ(stats.bytes_stored, first->blob().size());
 }
 
 TEST(RootfsCacheTest, EightThreadStormBuildsEachDistinctKeyOnce) {
@@ -72,7 +72,7 @@ TEST(RootfsCacheTest, EightThreadStormBuildsEachDistinctKeyOnce) {
                                               Image("hello-world")};
   RootfsCache cache;
   std::atomic<bool> start{false};
-  std::vector<RootfsCache::BlobPtr> first_blob(kThreads);
+  std::vector<RootfsCache::ImagePtr> first_blob(kThreads);
   std::vector<std::thread> threads;
   for (size_t t = 0; t < kThreads; ++t) {
     threads.emplace_back([&, t] {
@@ -151,7 +151,7 @@ TEST(RootfsCacheTest, HeldBlobsArePinnedAgainstEviction) {
 
 TEST(RootfsCacheTest, ChurningKeysStayUnderTheByteBudget) {
   const ContainerImage base = Image("hello-world");
-  const Bytes blob_size = RootfsCache(CacheBudget{}).GetOrBuild(base, {})->size();
+  const Bytes blob_size = RootfsCache(CacheBudget{}).GetOrBuild(base, {})->blob().size();
 
   CacheBudget budget;
   budget.max_bytes = 4 * blob_size;

@@ -24,8 +24,10 @@ struct GuestFixture {
     if (!image.ok()) {
       std::abort();
     }
-    kernel = std::make_unique<Kernel>(image.take(), memory);
-    Status s = kernel->Boot(apps::BuildBenchRootfs(/*kml_libc=*/config.kml_patch_applied()));
+    kernel = std::make_unique<Kernel>(std::make_shared<const kbuild::KernelImage>(image.take()),
+                                      memory);
+    const RootfsImage rootfs(apps::BuildBenchRootfs(/*kml_libc=*/config.kml_patch_applied()));
+    Status s = kernel->Boot(rootfs);
     if (!s.ok()) {
       std::abort();
     }

@@ -106,8 +106,9 @@ TEST(KernelTest, OomDuringBootReported) {
   kbuild::ImageBuilder builder;
   auto image = builder.Build(kconfig::LupineGeneral());
   ASSERT_TRUE(image.ok());
-  Kernel kernel(image.value(), 2 * kMiB);  // Far too small.
-  Status s = kernel.Boot(apps::BuildBenchRootfs(false));
+  // Far too small.
+  Kernel kernel(std::make_shared<const kbuild::KernelImage>(image.take()), 2 * kMiB);
+  Status s = kernel.Boot(RootfsImage(apps::BuildBenchRootfs(false)));
   EXPECT_FALSE(s.ok());
   EXPECT_TRUE(kernel.oom());
 }

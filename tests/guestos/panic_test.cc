@@ -27,8 +27,9 @@ VmSpec HelloSpec(const std::string& panic_timeout, FaultInjector* faults,
   EXPECT_TRUE(image.ok());
   VmSpec spec;
   spec.monitor = Firecracker();
-  spec.image = image.take();
-  spec.rootfs = apps::BuildAppRootfsForApp("hello-world", /*kml_libc=*/kml);
+  spec.image = std::make_shared<const kbuild::KernelImage>(image.take());
+  spec.rootfs = std::make_shared<const guestos::RootfsImage>(
+      apps::BuildAppRootfsForApp("hello-world", /*kml_libc=*/kml));
   spec.memory = 512 * kMiB;
   spec.faults = faults;
   return spec;

@@ -220,11 +220,11 @@ std::string Tree(const Vfs& vfs) {
   return out;
 }
 
-const kbuild::KernelImage& Image() {
-  static const kbuild::KernelImage image = [] {
+const std::shared_ptr<const kbuild::KernelImage>& Image() {
+  static const auto image = [] {
     auto built = kbuild::ImageBuilder().Build(kconfig::LupineGeneral());
     EXPECT_TRUE(built.ok());
-    return built.take();
+    return std::make_shared<const kbuild::KernelImage>(built.take());
   }();
   return image;
 }
@@ -241,7 +241,7 @@ struct BootOutcome {
 BootOutcome BootKernel(const std::string& blob) {
   Kernel kernel(Image(), kGuestMemory);
   BootOutcome out;
-  out.status = kernel.Boot(blob);
+  out.status = kernel.Boot(RootfsImage(blob));
   out.console = kernel.console().contents();
   out.pages = kernel.mm().used_pages();
   out.tree = Tree(kernel.vfs());
@@ -268,7 +268,7 @@ TEST(RootfsMutation, BootAgreesWithTheFsSpecMount) {
   ASSERT_TRUE(empty.status.ok());
   ASSERT_TRUE(empty.console.starts_with(before));
   const std::string banner = empty.console.substr(before.size());
-  const bool devtmpfs = Image().features.devtmpfs;
+  const bool devtmpfs = Image()->features.devtmpfs;
 
   Prng rng(20);
   size_t booted = 0, unparsed = 0, unmounted = 0;

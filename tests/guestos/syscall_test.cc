@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "src/kconfig/option_names.h"
 #include "src/kconfig/resolver.h"
 #include "tests/guestos/guest_fixture.h"
@@ -284,6 +286,75 @@ TEST(SyscallTest, MicrovmSyscallsSlowerThanLupine) {
   Nanos microvm = NullSyscallCost(kconfig::MicrovmConfig(), /*kml_process=*/false);
   Nanos lupine = NullSyscallCost(kconfig::LupineGeneral(), /*kml_process=*/false);
   EXPECT_GT(microvm, lupine);
+}
+
+// --- Table 1 syscalls no other test calls ----------------------------------
+
+// The virtual time `call` charges the calling guest process.
+template <typename Call>
+Nanos ChargeOf(Kernel& kernel, Call&& call) {
+  const Nanos before = kernel.clock().now();
+  EXPECT_TRUE(call().ok());
+  return kernel.clock().now() - before;
+}
+
+TEST(SyscallTest, AdviseAndSysvIpcAreGatedByTheirOptions) {
+  const kconfig::Config base = kconfig::LupineBase();
+  ASSERT_FALSE(base.IsEnabled(n::kAdviseSyscalls));
+  ASSERT_FALSE(base.IsEnabled(n::kSysvipc));
+  GuestFixture without(base);
+  without.RunInGuest([&](SyscallApi& sys) {
+    EXPECT_EQ(sys.Fadvise(0).err(), Err::kNoSys);
+    EXPECT_EQ(sys.Shmat(0).err(), Err::kNoSys);
+    EXPECT_EQ(sys.Semget().err(), Err::kNoSys);
+    EXPECT_EQ(sys.Semop().err(), Err::kNoSys);
+  });
+  ASSERT_TRUE(kconfig::LupineGeneral().IsEnabled(n::kAdviseSyscalls));
+  ASSERT_TRUE(kconfig::LupineGeneral().IsEnabled(n::kSysvipc));
+  GuestFixture with;
+  Kernel& k = *with.kernel;
+  with.RunInGuest([&](SyscallApi& sys) {
+    EXPECT_GT(ChargeOf(k, [&] { return sys.Fadvise(0); }), 0);
+    EXPECT_GT(ChargeOf(k, [&] { return sys.Shmat(0); }), 0);
+    EXPECT_GT(ChargeOf(k, [&] { return sys.Semget(); }), 0);
+    EXPECT_GT(ChargeOf(k, [&] { return sys.Semop(); }), 0);
+  });
+}
+
+TEST(SyscallTest, ShmatOutsideAProcessIsInval) {
+  GuestFixture guest;
+  Status s = guest.kernel->sys().Shmat(0);
+  EXPECT_EQ(s.err(), Err::kInval);
+  EXPECT_EQ(s.message(), "shmat outside any process");
+}
+
+TEST(SyscallTest, PollChargeGrowsWithTheFdCount) {
+  // Poll has no gating option: lupine-base serves it too.
+  GuestFixture guest(kconfig::LupineBase());
+  Kernel& k = *guest.kernel;
+  Nanos none = 0, one = 0, many = 0;
+  guest.RunInGuest([&](SyscallApi& sys) {
+    none = ChargeOf(k, [&] { return sys.Poll({}); });
+    one = ChargeOf(k, [&] { return sys.Poll({3}); });
+    many = ChargeOf(k, [&] { return sys.Poll(std::vector<int>(64, 3)); });
+  });
+  EXPECT_GT(none, 0);
+  EXPECT_GT(one, none);
+  EXPECT_GT(many, one);
+}
+
+TEST(SyscallTest, SetsockoptChargesOnAnOpenFdAndRejectsABadOne) {
+  // Setsockopt has no gating option: lupine-base serves it too.
+  GuestFixture guest(kconfig::LupineBase());
+  Kernel& k = *guest.kernel;
+  guest.RunInGuest([&](SyscallApi& sys) {
+    auto sock = sys.Socket(SockDomain::kInet, SockType::kStream);
+    ASSERT_TRUE(sock.ok()) << sock.status().ToString();
+    EXPECT_GT(ChargeOf(k, [&] { return sys.Setsockopt(sock.value()); }), 0);
+    Status bad = sys.Setsockopt(999);
+    EXPECT_EQ(bad.err(), Err::kBadF);
+    EXPECT_EQ(bad.message(), "bad file descriptor 999");
+  });
 }
 
 }  // namespace

@@ -21,8 +21,9 @@ std::unique_ptr<Kernel> SingleProcessKernel() {
   EXPECT_TRUE(image.ok());
   kbuild::KernelImage modified = image.take();
   modified.features.single_process = true;
-  auto kernel = std::make_unique<Kernel>(modified, 512 * kMiB);
-  EXPECT_TRUE(kernel->Boot(apps::BuildBenchRootfs(false)).ok());
+  auto kernel =
+      std::make_unique<Kernel>(std::make_shared<const kbuild::KernelImage>(modified), 512 * kMiB);
+  EXPECT_TRUE(kernel->Boot(RootfsImage(apps::BuildBenchRootfs(false))).ok());
   return kernel;
 }
 

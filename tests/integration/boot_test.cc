@@ -76,8 +76,9 @@ TEST(BootIntegrationTest, AppOnWrongKernelFailsWithDiagnostic) {
   ASSERT_TRUE(image.ok());
   vmm::VmSpec spec;
   spec.monitor = vmm::Firecracker();
-  spec.image = image.take();
-  spec.rootfs = apps::BuildAppRootfsForApp("redis", /*kml_libc=*/true);
+  spec.image = std::make_shared<const kbuild::KernelImage>(image.take());
+  spec.rootfs = std::make_shared<const guestos::RootfsImage>(
+      apps::BuildAppRootfsForApp("redis", /*kml_libc=*/true));
   vmm::Vm vm(std::move(spec));
   auto result = vm.BootAndRun();
   EXPECT_NE(result.console.find("futex facility"), std::string::npos) << result.console;

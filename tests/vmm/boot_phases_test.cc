@@ -21,8 +21,9 @@ std::unique_ptr<Vm> BootVm(kconfig::Config config, const MonitorProfile& monitor
   EXPECT_TRUE(image.ok()) << image.status().ToString();
   VmSpec spec;
   spec.monitor = monitor;
-  spec.image = image.take();
-  spec.rootfs = apps::BuildAppRootfsForApp("hello-world", false);
+  spec.image = std::make_shared<const kbuild::KernelImage>(image.take());
+  spec.rootfs = std::make_shared<const guestos::RootfsImage>(
+      apps::BuildAppRootfsForApp("hello-world", false));
   auto vm = std::make_unique<Vm>(std::move(spec));
   EXPECT_TRUE(vm->Boot().ok());
   return vm;

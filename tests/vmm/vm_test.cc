@@ -17,8 +17,9 @@ VmSpec HelloSpec(Bytes memory = 512 * kMiB) {
   EXPECT_TRUE(image.ok());
   VmSpec spec;
   spec.monitor = Firecracker();
-  spec.image = image.take();
-  spec.rootfs = apps::BuildAppRootfsForApp("hello-world", /*kml_libc=*/false);
+  spec.image = std::make_shared<const kbuild::KernelImage>(image.take());
+  spec.rootfs = std::make_shared<const guestos::RootfsImage>(
+      apps::BuildAppRootfsForApp("hello-world", /*kml_libc=*/false));
   spec.memory = memory;
   return spec;
 }

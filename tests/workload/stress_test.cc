@@ -25,8 +25,8 @@ std::unique_ptr<vmm::Vm> VmWithSmp(bool smp) {
   apps::RegisterBuiltinApps();
   vmm::VmSpec spec;
   spec.monitor = vmm::Firecracker();
-  spec.image = image.take();
-  spec.rootfs = apps::BuildBenchRootfs(false);
+  spec.image = std::make_shared<const kbuild::KernelImage>(image.take());
+  spec.rootfs = std::make_shared<const guestos::RootfsImage>(apps::BuildBenchRootfs(false));
   spec.memory = 512 * kMiB;
   auto vm = std::make_unique<vmm::Vm>(std::move(spec));
   EXPECT_TRUE(vm->Boot().ok());
