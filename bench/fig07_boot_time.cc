@@ -37,8 +37,9 @@ int main() {
   if (vm.ok() && (*vm)->Boot().ok()) {
     PrintBanner("Boot phase breakdown (lupine-nokml)");
     Table phases({"phase", "ms"});
-    for (const auto& phase : (*vm)->boot_report().phases) {
-      phases.AddRow(phase.name, ToMillis(phase.duration));
+    const telemetry::SpanTrace spans = (*vm)->boot_spans();
+    for (const telemetry::Span& span : spans.spans()) {
+      phases.AddRow(span.name, ToMillis(span.duration()));
     }
     phases.Print();
   }

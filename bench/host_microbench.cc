@@ -108,9 +108,7 @@ const NginxLaunch& Nginx() {
     }
     const std::string key = core::SnapshotCache::Key(
         l->artifact->fingerprint, l->artifact->rootfs_key, NginxLaunch::kMemory);
-    l->snapshot = guestos::CaptureSnapshot(vm->kernel(), key, "nginx", l->artifact->kernel,
-                                           l->artifact->boot_plan, l->artifact->rootfs)
-                      .take();
+    l->snapshot = vm->Capture(key, "nginx").take();
     return l;
   }();
   return *launch;

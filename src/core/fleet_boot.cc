@@ -107,7 +107,7 @@ std::string FormatFaultLog(const BootTask& task, const FaultInjector& injector) 
 }
 
 Nanos InitExecNanos(const vmm::Vm& vm) {
-  for (const guestos::BootPhase& phase : vm.boot_report().phases) {
+  for (const guestos::BootPhase& phase : vm.kernel().boot_trace().phases) {
     if (phase.name == "init-exec") {
       return phase.duration;
     }
@@ -248,9 +248,7 @@ AttemptResult RunBootAttempt(KernelCache& cache, const BootTask& task,
     // the task's timeline, not the guest clock.
     if (options.snapshots != nullptr && task.snapshot_capture &&
         !options.snapshots->Contains(task.snapshot_key)) {
-      auto captured = guestos::CaptureSnapshot(vm->kernel(), task.snapshot_key, task.app,
-                                               (*artifact)->kernel, (*artifact)->boot_plan,
-                                               (*artifact)->rootfs);
+      auto captured = vm->Capture(task.snapshot_key, task.app);
       if (captured.ok()) {
         const Nanos capture_ns = captured.value().capture_ns;
         options.snapshots->Put(captured.take());
@@ -275,7 +273,8 @@ AttemptResult RunBootAttempt(KernelCache& cache, const BootTask& task,
   if (options.metrics != nullptr) {
     options.metrics->GetHistogram("boot.to_init_ns", {{"app", task.app}})
         .Observe(static_cast<double>(vm->boot_report().to_init));
-    for (const telemetry::Span& span : vm->boot_spans().spans()) {
+    const telemetry::SpanTrace spans = vm->boot_spans();
+    for (const telemetry::Span& span : spans.spans()) {
       options.metrics->GetHistogram("boot.phase_ns", {{"phase", span.name}})
           .Observe(static_cast<double>(span.duration()));
     }

@@ -18,7 +18,6 @@ std::unique_ptr<vmm::Vm> KernelCache::AppArtifact::Launch(Bytes memory,
   spec.rootfs = rootfs;
   spec.memory = memory;
   spec.faults = faults;
-  spec.boot_plan = boot_plan;
   return std::make_unique<vmm::Vm>(std::move(spec));
 }
 
@@ -53,7 +52,7 @@ KernelCache::KernelCache(BuildOptions options, CacheBudget artifact_budget,
           },
           artifact_budget),
       kernels_(
-          "kernel-cache", [](const KernelEntry& kernel) -> Bytes { return kernel.image.size; },
+          "kernel-cache", [](const kbuild::KernelImage& image) -> Bytes { return image.size; },
           kernel_budget) {}
 
 Result<KernelCache::ArtifactPtr> KernelCache::GetOrBuild(const std::string& app) {
@@ -126,8 +125,7 @@ Result<KernelCache::ArtifactPtr> KernelCache::BuildArtifact(const std::string& a
   apps::RootfsOptions rootfs_options;
   rootfs_options.kml_libc = options_.kml;
   auto artifact = std::make_shared<AppArtifact>();
-  artifact->kernel = std::shared_ptr<const kbuild::KernelImage>(kernel, &kernel->image);
-  artifact->boot_plan = std::shared_ptr<const guestos::BootPlan>(kernel, &kernel->boot_plan);
+  artifact->kernel = kernel;
   telemetry::HostStopwatch rootfs_watch;
   artifact->rootfs = rootfs_cache_.GetOrBuild(image, rootfs_options);
   const Nanos rootfs_ns = rootfs_watch.ElapsedNanos();
@@ -143,7 +141,7 @@ Result<KernelCache::ArtifactPtr> KernelCache::BuildArtifact(const std::string& a
   artifact->provisioning = std::move(provisioning);
 
   std::lock_guard lock(mu_);
-  app_kernel_bytes_[app] = kernel->image.size;
+  app_kernel_bytes_[app] = kernel->size;
   if (spec.general_kernel) {
     ++general_served_;
   }
@@ -201,15 +199,10 @@ Result<KernelCache::KernelPtr> KernelCache::EnsureKernel(const kconfig::Config& 
       metrics_->GetHistogram("build.stage_ns", {{"stage", "build"}})
           .Observe(static_cast<double>(build_ns));
     }
-    auto entry = std::make_shared<KernelEntry>();
-    entry->image = built.take();
-    // The boot plan is the point of the per-image precompute: derived once
-    // here, reused by every VM that ever boots this image.
-    entry->boot_plan = guestos::ComputeBootPlan(entry->image);
     // Artifacts pin their kernels: trim them first, so the kernel tier's
     // trim on this insertion can reclaim kernels only stale artifacts held.
     artifacts_.Trim();
-    return KernelPtr(std::move(entry));
+    return std::make_shared<const kbuild::KernelImage>(built.take());
   });
 }
 

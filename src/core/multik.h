@@ -27,11 +27,10 @@
 // Eviction only drops entries the cache is the sole owner of: artifacts and
 // kernels are handed out as shared_ptr, and any entry a caller still
 // references — including every in-flight build, whose result is published
-// through the flight itself — is pinned. An artifact holds aliasing
-// pointers into its kernel entry, so it pins its kernel, and every
-// insertion trims artifacts before kernels. A fleet rebuilding under
-// churning extra_options therefore stays under its byte budget instead of
-// growing without bound.
+// through the flight itself — is pinned. An artifact holds its kernel
+// image, so it pins its kernel, and every insertion trims artifacts before
+// kernels. A fleet rebuilding under churning extra_options therefore stays
+// under its byte budget instead of growing without bound.
 #ifndef SRC_CORE_MULTIK_H_
 #define SRC_CORE_MULTIK_H_
 
@@ -56,14 +55,13 @@ class KernelCache {
   explicit KernelCache(BuildOptions options = {}, CacheBudget artifact_budget = {},
                        CacheBudget kernel_budget = {});
 
-  // What a fleet member deploys: a (possibly shared) kernel image with its
-  // precomputed boot plan, plus a (possibly shared) rootfs image whose
-  // mounted tree every launch starts from. All shared pieces are immutable
-  // and reference-counted; an artifact outlives its cache entry, so holding
-  // one across an eviction is safe.
+  // What a fleet member deploys: a (possibly shared) kernel image, plus a
+  // (possibly shared) rootfs image whose mounted tree every launch starts
+  // from. All shared pieces are immutable and reference-counted; an
+  // artifact outlives its cache entry, so holding one across an eviction is
+  // safe.
   struct AppArtifact {
     std::shared_ptr<const kbuild::KernelImage> kernel;
-    std::shared_ptr<const guestos::BootPlan> boot_plan;  // Per-image, per-boot reuse.
     std::shared_ptr<const guestos::RootfsImage> rootfs;
     std::string init_script;
     // Content identities of the immutable inputs: the kernel config
@@ -215,13 +213,8 @@ class KernelCache {
   static std::string ConfigFingerprint(const kconfig::Config& config);
 
  private:
-  // One kernel: the image and the boot plan derived from it. Artifacts hold
-  // aliasing pointers into the entry, so a held artifact pins its kernel.
-  struct KernelEntry {
-    kbuild::KernelImage image;
-    guestos::BootPlan boot_plan;
-  };
-  using KernelPtr = std::shared_ptr<const KernelEntry>;
+  // A stored kernel image; a held artifact pins it.
+  using KernelPtr = std::shared_ptr<const kbuild::KernelImage>;
 
   // The artifact tier's compute: specialize, ensure the kernel, load the
   // rootfs. Lock-free apart from the accounting at the end.
@@ -260,7 +253,7 @@ class KernelCache {
   ProvisionCostModel provision_costs_;
 
   apps::ContentStore<AppArtifact> artifacts_;  // By app.
-  apps::ContentStore<KernelEntry> kernels_;    // By fingerprint.
+  apps::ContentStore<kbuild::KernelImage> kernels_;  // By fingerprint.
 
   // Guards everything below. Taken before a store's lock, never after.
   mutable std::mutex mu_;

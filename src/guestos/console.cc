@@ -5,10 +5,10 @@
 
 namespace lupine::guestos {
 
-void Console::Write(const std::string& text) {
+void Console::Write(std::string_view text) {
   contents_ += text;
   if (echo_) {
-    std::fputs(text.c_str(), stderr);
+    std::fwrite(text.data(), 1, text.size(), stderr);
   }
 }
 

@@ -8,13 +8,14 @@
 #define SRC_GUESTOS_CONSOLE_H_
 
 #include <string>
+#include <string_view>
 #include <vector>
 
 namespace lupine::guestos {
 
 class Console {
  public:
-  void Write(const std::string& text);
+  void Write(std::string_view text);
 
   const std::string& contents() const { return contents_; }
   std::vector<std::string> Lines() const;

@@ -27,42 +27,9 @@ FaultInjector& NullFaultInjector() {
   return null;
 }
 
-}  // namespace
-
-Nanos BootTrace::Total() const {
-  Nanos total = 0;
-  for (const auto& phase : phases) {
-    total += phase.duration;
-  }
-  return total;
-}
-
-BootPlan ComputeBootPlan(const kbuild::KernelImage& image, const CostModel* costs_in) {
-  const CostModel& costs = costs_in != nullptr ? *costs_in : DefaultCostModel();
-  const kbuild::KernelFeatures& f = image.features;
-  BootPlan plan;
-
-  plan.resident =
-      static_cast<Bytes>(static_cast<double>(image.size) * kResidentFraction) + kSlabBase;
-  plan.decompress = static_cast<Nanos>(ToMiB(image.size) *
-                                       static_cast<double>(costs.boot_decompress_per_mb));
-
-  // Core init: arch setup, memory management, scheduler.
-  plan.core_init = costs.boot_core_init;
-  if (!f.paravirt) {
-    // Without CONFIG_PARAVIRT, timer and TSC calibration loops run in full
-    // (Section 4.3: Lupine+KML boots in 71 ms instead of 23 ms).
-    plan.core_init += costs.boot_no_paravirt_penalty;
-  }
-  if (f.smp) {
-    plan.smp_bringup = costs.boot_smp_bringup;
-  }
-  if (f.pci) {
-    plan.pci_enumeration = costs.boot_pci_enumeration;
-  }
-
-  // Initcalls: every built-in option contributes initialization work; the
-  // per-category costs make driver-heavy configs (microVM) pay most.
+// Initcalls: every built-in option contributes initialization work; the
+// per-category costs make driver-heavy configs (microVM) pay most.
+Nanos InitcallCost(const kbuild::KernelFeatures& f, const CostModel& costs) {
   size_t categorized = f.driver_options + f.net_options + f.fs_options + f.crypto_options +
                        f.debug_options;
   size_t other = f.enabled_options > categorized ? f.enabled_options - categorized : 0;
@@ -76,11 +43,17 @@ BootPlan ComputeBootPlan(const kbuild::KernelImage& image, const CostModel* cost
   if (f.acpi) {
     initcalls += costs.boot_acpi_tables;
   }
-  plan.initcalls = initcalls;
+  return initcalls;
+}
 
-  plan.rootfs_mount = costs.boot_rootfs_mount;
-  plan.banner = "Linux version 4.0.0-lupine (" + image.name + ")\n";
-  return plan;
+}  // namespace
+
+Nanos BootTrace::Total() const {
+  Nanos total = 0;
+  for (const auto& phase : phases) {
+    total += phase.duration;
+  }
+  return total;
 }
 
 Kernel::Kernel(std::shared_ptr<const kbuild::KernelImage> image, Bytes memory_limit,
@@ -103,32 +76,22 @@ Kernel::~Kernel() = default;
 void Kernel::Phase(const char* name, Nanos duration) {
   clock_.Advance(duration);
   boot_trace_.phases.push_back({name, duration});
-  if (boot_spans_ != nullptr) {
-    boot_spans_->Record(name, clock_.now() - duration, clock_.now());
-  }
 }
 
-Status Kernel::Boot(const RootfsImage& rootfs, const BootPlan* plan_in) {
+Status Kernel::Boot(const RootfsImage& rootfs) {
   const kbuild::KernelFeatures& f = image_->features;
 
-  // The image-invariant part of the boot either arrives precomputed (fleet
-  // callers derive it once per image) or is derived here for this boot.
-  BootPlan local;
-  if (plan_in == nullptr) {
-    local = ComputeBootPlan(*image_, costs_);
-    plan_in = &local;
-  }
-  const BootPlan& plan = *plan_in;
-
   // Resident kernel memory (text + data + static structures).
-  if (Status s = mm_->AllocatePages(PagesForBytes(plan.resident), "kernel-resident");
-      !s.ok()) {
+  const Bytes resident =
+      static_cast<Bytes>(static_cast<double>(image_->size) * kResidentFraction) + kSlabBase;
+  if (Status s = mm_->AllocatePages(PagesForBytes(resident), "kernel-resident"); !s.ok()) {
     oom_ = true;
     return s;
   }
 
   // Decompress/relocate the image.
-  Phase("decompress", plan.decompress);
+  Phase("decompress", static_cast<Nanos>(ToMiB(image_->size) *
+                                         static_cast<double>(costs_->boot_decompress_per_mb)));
   if (faults_->Check(FaultSite::kBootDecompress)) {
     console_.Write("crc error\n\n-- System halted\n");
     return Status(Err::kIo, "kernel decompression failed: crc error");
@@ -143,16 +106,19 @@ Status Kernel::Boot(const RootfsImage& rootfs, const BootPlan* plan_in) {
     Phase("boot-stall", faults_->stall_penalty());
   }
 
-  Phase("core-init", plan.core_init);
-
-  if (plan.smp_bringup >= 0) {
-    Phase("smp-bringup", plan.smp_bringup);
+  // Core init: arch setup, memory management, scheduler. Without
+  // CONFIG_PARAVIRT, timer and TSC calibration loops run in full (Section
+  // 4.3: Lupine+KML boots in 71 ms instead of 23 ms).
+  Phase("core-init",
+        costs_->boot_core_init + (f.paravirt ? 0 : costs_->boot_no_paravirt_penalty));
+  if (f.smp) {
+    Phase("smp-bringup", costs_->boot_smp_bringup);
   }
-  if (plan.pci_enumeration >= 0) {
-    Phase("pci-enumeration", plan.pci_enumeration);
+  if (f.pci) {
+    Phase("pci-enumeration", costs_->boot_pci_enumeration);
   }
 
-  Phase("initcalls", plan.initcalls);
+  Phase("initcalls", InitcallCost(f, *costs_));
   if (faults_->Check(FaultSite::kBootInitcall)) {
     console_.Write("initcall lupine_subsys_init+0x0/0x40 returned -5\n");
     return Status(Err::kIo, "initcall failed during boot");
@@ -201,9 +167,11 @@ Status Kernel::Boot(const RootfsImage& rootfs, const BootPlan* plan_in) {
     vfs_ = Vfs(image->Mount(/*devtmpfs=*/false).tree);
     return s;
   }
-  Phase("rootfs-mount", plan.rootfs_mount);
+  Phase("rootfs-mount", costs_->boot_rootfs_mount);
 
-  console_.Write(plan.banner);
+  console_.Write("Linux version 4.0.0-lupine (");
+  console_.Write(image_->name);
+  console_.Write(")\n");
   booted_ = true;
   return Status::Ok();
 }

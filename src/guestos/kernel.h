@@ -1,4 +1,10 @@
 // The guest kernel facade: owns every subsystem, boots, runs init.
+//
+// Boot prices every phase and writes the console banner from the kernel
+// image the kernel holds (its size, name and derived features) and the cost
+// model, and records the phases in its BootTrace, the one list of a boot's
+// guest phases: vmm::Vm derives its boot spans from it, and the snapshot
+// state digest folds it in.
 #ifndef SRC_GUESTOS_KERNEL_H_
 #define SRC_GUESTOS_KERNEL_H_
 
@@ -19,7 +25,6 @@
 #include "src/guestos/trace.h"
 #include "src/guestos/vfs.h"
 #include "src/kbuild/image.h"
-#include "src/telemetry/span.h"
 #include "src/util/fault.h"
 #include "src/util/result.h"
 #include "src/util/vclock.h"
@@ -34,31 +39,11 @@ struct BootPhase {
   Nanos duration = 0;
 };
 
+// The guest's boot phases, in order: the one record of them.
 struct BootTrace {
   std::vector<BootPhase> phases;
   Nanos Total() const;
 };
-
-// Everything about a boot that depends only on the kernel image: resident
-// memory, per-phase durations, and which optional phases run. Every boot of
-// the same image replays the same plan, so fleet callers (KernelCache)
-// compute it once per image and pass it to Kernel::Boot instead of re-running
-// the feature arithmetic for every VM. A boot without a plan computes an
-// identical one locally — the plan is purely a cache.
-struct BootPlan {
-  Bytes resident = 0;          // Kernel-resident pages charged at boot.
-  Nanos decompress = 0;
-  Nanos core_init = 0;
-  Nanos smp_bringup = -1;      // -1 = phase configured out.
-  Nanos pci_enumeration = -1;  // -1 = phase configured out.
-  Nanos initcalls = 0;
-  Nanos rootfs_mount = 0;
-  std::string banner;          // The "Linux version ..." console line.
-};
-
-// Derives the image-invariant boot plan (costs defaults to the process cost
-// model, matching Kernel's constructor).
-BootPlan ComputeBootPlan(const kbuild::KernelImage& image, const CostModel* costs = nullptr);
 
 class Kernel {
  public:
@@ -78,9 +63,9 @@ class Kernel {
   // clock, charges kernel resident memory, and mounts the rootfs image: the
   // VFS starts from the image's tree (RootfsImage::Mount, built by the first
   // boot of the image) and copies it only when the guest first touches it.
-  // `plan` (optional, non-owning) is a precomputed ComputeBootPlan result
-  // for this kernel's image; nullptr derives the identical plan locally.
-  Status Boot(const RootfsImage& rootfs, const BootPlan* plan = nullptr);
+  // Every cost and the console banner come from the kernel's image and cost
+  // model; each phase lands in boot_trace().
+  Status Boot(const RootfsImage& rootfs);
 
   // Spawns pid 1 executing `path` (usually /sbin/init, the startup script).
   Result<Process*> StartInit(const std::string& path, std::vector<std::string> argv = {});
@@ -109,12 +94,6 @@ class Kernel {
   const CostModel& costs() const { return *costs_; }
   const AppRegistry& apps() const { return *registry_; }
   const BootTrace& boot_trace() const { return boot_trace_; }
-
-  // Non-owning span sink: every boot phase is also recorded as a span on the
-  // kernel's virtual timeline (start anchored at the clock, so monitor time
-  // the VMM charged before Boot offsets the guest phases correctly). The VMM
-  // installs its Vm-owned trace here for the duration of Boot/StartInit.
-  void set_boot_spans(telemetry::SpanTrace* spans) { boot_spans_ = spans; }
 
   // --- Process management (used by the syscall layer) ---------------------------
   Process* CreateProcess(int ppid, std::shared_ptr<AddressSpace> aspace, std::string name);
@@ -179,7 +158,6 @@ class Kernel {
   bool reboot_on_panic_ = false;
   std::string panic_reason_;
   BootTrace boot_trace_;
-  telemetry::SpanTrace* boot_spans_ = nullptr;
 };
 
 }  // namespace lupine::guestos

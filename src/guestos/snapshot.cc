@@ -1,7 +1,5 @@
 #include "src/guestos/snapshot.h"
 
-#include <utility>
-
 #include "src/util/fnv.h"
 
 namespace lupine::guestos {
@@ -43,33 +41,6 @@ Nanos SnapshotRestoreCost(const CostModel& costs, Bytes captured_bytes) {
       static_cast<double>(costs.snapshot_restore_per_mb) *
       (static_cast<double>(captured_bytes) / static_cast<double>(kMiB)));
   return costs.snapshot_restore_base + per_mb;
-}
-
-Result<Snapshot> CaptureSnapshot(const Kernel& kernel, std::string key, std::string app,
-                                 std::shared_ptr<const kbuild::KernelImage> image,
-                                 std::shared_ptr<const BootPlan> boot_plan,
-                                 std::shared_ptr<const RootfsImage> rootfs) {
-  if (kernel.panicked()) {
-    return Status(Err::kInval, "cannot snapshot a panicked guest");
-  }
-  if (kernel.ProcessCount() == 0) {
-    return Status(Err::kInval, "cannot snapshot before init started");
-  }
-  if (image == nullptr || rootfs == nullptr) {
-    return Status(Err::kInval, "snapshot needs the kernel image and rootfs blob");
-  }
-  Snapshot snapshot;
-  snapshot.key = std::move(key);
-  snapshot.app = std::move(app);
-  snapshot.kernel = std::move(image);
-  snapshot.boot_plan = std::move(boot_plan);
-  snapshot.rootfs = std::move(rootfs);
-  snapshot.memory = kernel.mm().limit();
-  snapshot.captured_bytes = kernel.mm().peak();
-  snapshot.capture_ns = SnapshotCaptureCost(kernel.costs(), snapshot.captured_bytes);
-  snapshot.restore_ns = SnapshotRestoreCost(kernel.costs(), snapshot.captured_bytes);
-  snapshot.state_digest = KernelStateDigest(kernel);
-  return snapshot;
 }
 
 }  // namespace lupine::guestos

@@ -6,20 +6,23 @@
 // restore cost. In a fiber-based simulator the guest's execution state
 // cannot be memcpy'd (fiber stacks are host-thread artifacts), so a
 // Snapshot records what a restore needs to *re-materialize* the identical
-// post-init machine deterministically: the immutable inputs (kernel image,
-// boot plan, rootfs image — all shared cache artifacts) plus a digest of the
-// captured machine state. Restoring replays Boot()+StartInit() — which
-// rebuilds byte-identical state, because the simulator is deterministic —
-// verifies the digest, and then rebases the virtual timeline so the
-// instance's launch cost is the modeled restore cost, not the boot cost.
-// Like every figure in this repo, the saving lives on the virtual clock: on
-// the host a restore pays for a cold boot up to init plus the digest — the
-// kernel's construction, the boot phases, and init's spawn. Neither pays for
-// the rootfs: the replayed mount starts the guest's VFS from the tree the
+// post-init machine deterministically: the immutable inputs (kernel image
+// and rootfs image — both shared cache artifacts, and the boot derives
+// every phase cost from the image) plus a digest of the captured machine
+// state. Restoring replays Boot()+StartInit() — which rebuilds
+// byte-identical state, because the simulator is deterministic — verifies
+// the digest, and then rebases the virtual timeline so the instance's
+// launch cost is the modeled restore cost, not the boot cost. Like every
+// figure in this repo, the saving lives on the virtual clock: on the host a
+// restore pays for a cold boot up to init plus the digest — the kernel's
+// construction, the boot phases, and init's spawn. Neither pays for the
+// rootfs: the replayed mount starts the guest's VFS from the tree the
 // image's first boot built (RootfsImage), and the digest reads that tree's
 // hash, taken once (bench/host_microbench times a restore as BM_VmRestore,
 // next to BM_VmColdBoot).
 //
+// vmm::Vm::Capture takes a snapshot of the VM it is called on, from the
+// image and rootfs that VM booted, and vmm::Vm::Restore replays one.
 // Snapshots are only captured between StartInit() and the first Run(): at
 // that point no fiber has executed, so the state is a pure function of
 // (image, rootfs, memory) and the capture is safe to restore on any host
@@ -33,7 +36,6 @@
 
 #include "src/guestos/kernel.h"
 #include "src/kbuild/image.h"
-#include "src/util/result.h"
 #include "src/util/units.h"
 
 namespace lupine::guestos {
@@ -48,7 +50,6 @@ struct Snapshot {
   // Immutable inputs the restore re-materializes from (shared with the
   // kernel/rootfs caches; holding a snapshot pins them).
   std::shared_ptr<const kbuild::KernelImage> kernel;
-  std::shared_ptr<const BootPlan> boot_plan;
   std::shared_ptr<const RootfsImage> rootfs;
 
   Bytes memory = 0;          // Guest RAM at capture; a restore must match.
@@ -73,15 +74,6 @@ uint64_t KernelStateDigest(const Kernel& kernel);
 // Modeled costs (base + per-MiB over the captured resident bytes).
 Nanos SnapshotCaptureCost(const CostModel& costs, Bytes captured_bytes);
 Nanos SnapshotRestoreCost(const CostModel& costs, Bytes captured_bytes);
-
-// Captures `kernel`'s post-init state. The shared inputs come from the
-// caller (they are the cache artifacts the guest was launched from); the
-// guest must be booted, not panicked, and must not have run yet. `memory`
-// is the VM's RAM (the restore allocates the same).
-Result<Snapshot> CaptureSnapshot(const Kernel& kernel, std::string key, std::string app,
-                                 std::shared_ptr<const kbuild::KernelImage> image,
-                                 std::shared_ptr<const BootPlan> boot_plan,
-                                 std::shared_ptr<const RootfsImage> rootfs);
 
 }  // namespace lupine::guestos
 

@@ -68,9 +68,23 @@ uint64_t TreeDigest(const Inode& root) {
   return h;
 }
 
+// The tree every default Vfs starts from: one empty root directory,
+// published once per process. A Vfs copies it on its first write, so a
+// kernel whose boot replaces its Vfs never allocates a root of its own.
+const std::shared_ptr<const SharedTree>& EmptyTree() {
+  static const std::shared_ptr<const SharedTree> empty = [] {
+    auto tree = std::make_shared<SharedTree>();
+    tree->root = std::make_shared<Inode>();
+    tree->root->type = InodeType::kDir;
+    tree->digest = TreeDigest(*tree->root);
+    return tree;
+  }();
+  return empty;
+}
+
 }  // namespace
 
-Vfs::Vfs() : root_(std::make_shared<Inode>()) { root_->type = InodeType::kDir; }
+Vfs::Vfs() : shared_(EmptyTree()) {}
 
 Vfs::Vfs(std::shared_ptr<const SharedTree> tree) : shared_(std::move(tree)) {}
 

@@ -87,7 +87,7 @@ struct SharedTree {
 
 class Vfs {
  public:
-  // An empty root directory of its own.
+  // An empty root directory, shared until the first call that copies it.
   Vfs();
   // Starts from `tree`, shared until the first call that copies it.
   explicit Vfs(std::shared_ptr<const SharedTree> tree);

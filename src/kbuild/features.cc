@@ -8,9 +8,9 @@ namespace lupine::kbuild {
 namespace {
 
 // Every option name feature derivation consults, interned exactly once per
-// process. DeriveFeatures runs once per kernel build and (via BootPlan
-// precomputation) its results are reused across every boot of an image, so
-// the per-call cost here is ~35 bitset probes instead of ~35 hash lookups
+// process. DeriveFeatures runs once per kernel build and its results ride in
+// the image, which every boot of it reads its phase costs from, so the
+// per-call cost here is ~35 bitset probes instead of ~35 hash lookups
 // through the global interner's shared_mutex.
 struct FeatureIds {
   kconfig::OptionId smp, numa, cgroups, namespaces, modules, audit, seccomp, selinux;

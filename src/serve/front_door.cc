@@ -123,9 +123,7 @@ Result<ServeResult> RunServing(core::KernelCache& cache, core::SnapshotCache& sn
       return st;
     }
     s.cold = vm->boot_report().to_init;
-    auto captured = guestos::CaptureSnapshot(vm->kernel(), s.key, s.app,
-                                             s.artifact->kernel, s.artifact->boot_plan,
-                                             s.artifact->rootfs);
+    auto captured = vm->Capture(s.key, s.app);
     if (!captured.ok()) {
       return captured.status();
     }
@@ -577,10 +575,7 @@ Result<ServeResult> RunServing(core::KernelCache& cache, core::SnapshotCache& sn
             }
             x_cold.fetch_add(1, std::memory_order_relaxed);
             if (capture && !snapshots.Contains(key)) {
-              auto captured = guestos::CaptureSnapshot(vm->kernel(), key, app_name,
-                                                       artifact->kernel,
-                                                       artifact->boot_plan,
-                                                       artifact->rootfs);
+              auto captured = vm->Capture(key, app_name);
               if (captured.ok()) {
                 snapshots.Put(captured.take());
                 x_capture.fetch_add(1, std::memory_order_relaxed);

@@ -7,7 +7,7 @@
 //
 //   1. Prelude (real execution, serial). For every distinct app: build the
 //      artifact, cold-boot one guest to measure boot cost, capture its
-//      post-init snapshot (guestos::CaptureSnapshot) to price capture and
+//      post-init snapshot (vmm::Vm::Capture) to price capture and
 //      restore, and verify one Vm::Restore round-trips the state digest.
 //      The per-app cost table — cold vs capture vs restore — is the
 //      "restore is N x cheaper than boot" figure, measured, not assumed.

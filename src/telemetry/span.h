@@ -11,9 +11,9 @@
 //     -> rootfs-mount -> init-exec -> app-main         (virtual, per boot)
 //
 // KernelCache records the first four on the artifact it serves;
-// guestos::Kernel emits its boot phases into a sink the owning Vm installs;
-// Vm adds the monitor span and app-main. telemetry/export.h renders a trace
-// as JSON for bench artifacts.
+// vmm::Vm::boot_spans() builds the rest on demand from its monitor phase,
+// the kernel's BootTrace and its last run. telemetry/export.h renders a
+// trace as JSON for bench artifacts.
 //
 // SpanTrace is not thread-safe: each trace belongs to one VM / one artifact
 // build, which is single-threaded by construction.
@@ -48,13 +48,6 @@ class SpanTrace {
     Record(std::move(name), cursor_, cursor_ + duration);
   }
 
-  // Moves the cursor forward (a gap nothing is attributed to).
-  void AdvanceTo(Nanos t) {
-    if (t > cursor_) {
-      cursor_ = t;
-    }
-  }
-
   // Appends every span of `other`, re-based so other's timeline starts at
   // this trace's cursor — used to splice a boot trace (virtual time) after a
   // provisioning trace (host time) into one pipeline view.
@@ -64,10 +57,6 @@ class SpanTrace {
   const Span* Find(const std::string& name) const;
   Nanos cursor() const { return cursor_; }
   bool empty() const { return spans_.empty(); }
-  void Clear() {
-    spans_.clear();
-    cursor_ = 0;
-  }
 
  private:
   std::vector<Span> spans_;

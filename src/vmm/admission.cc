@@ -81,6 +81,17 @@ Grant FleetAdmissionController::GrantLocked(const AdmissionRequest& request, Ver
   return Grant(this, granted, degraded, waited);
 }
 
+void FleetAdmissionController::set_metrics(telemetry::MetricRegistry* metrics) {
+  metrics_ = metrics;
+  if (metrics_ != nullptr) {
+    for (const char* counter :
+         {"admission.requests", "admission.admitted", "admission.degraded", "admission.queued",
+          "admission.rejected", "admission.try_denied"}) {
+      (void)metrics_->GetCounter(counter);
+    }
+  }
+}
+
 void FleetAdmissionController::Count(const char* counter) {
   if (metrics_ != nullptr) {
     metrics_->GetCounter(counter).Increment();

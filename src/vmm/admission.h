@@ -105,8 +105,10 @@ class FleetAdmissionController {
 
   // Optional, non-owning metric sink: admission outcome counters plus
   // `admission.committed_bytes` / `admission.peak_committed_bytes` gauges.
-  // Set before the first Admit(); the registry must outlive the controller.
-  void set_metrics(telemetry::MetricRegistry* metrics) { metrics_ = metrics; }
+  // Every counter is registered at zero here, so an export lists the same
+  // counters whether or not, say, some launch had to wait. Set before the
+  // first Admit(); the registry must outlive the controller.
+  void set_metrics(telemetry::MetricRegistry* metrics);
 
   // Optional, non-owning flight-recorder sink: every Admit() outcome lands
   // as a "verdict" event under source "admission". Verdicts depend on what

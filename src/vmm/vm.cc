@@ -10,55 +10,52 @@ Vm::Vm(VmSpec spec, const guestos::AppRegistry* registry)
                                                 spec_.faults)) {}
 
 Status Vm::Boot() {
-  // Host-side monitor phases. The kernel mirrors its boot phases into
-  // `spans_` (one virtual timeline, monitor offset included); the sink is
-  // detached again below so a moved-from or long-lived kernel can never
-  // write through a stale pointer.
-  spans_.Clear();
-  kernel_->set_boot_spans(&spans_);
-  Nanos monitor_time = MonitorSetupTime(spec_.monitor, spec_.image->size);
-  kernel_->clock().Advance(monitor_time);
-  report_.phases.push_back({"monitor:" + spec_.monitor.name, monitor_time});
-  spans_.Record("monitor:" + spec_.monitor.name, 0, monitor_time);
+  // Host-side monitor phase; the guest's phases land in the kernel's
+  // BootTrace on the same virtual timeline, right after it.
+  report_.monitor = MonitorSetupTime(spec_.monitor, spec_.image->size);
+  kernel_->clock().Advance(report_.monitor);
 
   // Guest-side boot. A PCI-enabled kernel on a PCI-less monitor skips
   // enumeration; our feature check happens in the kernel, which prices PCI
   // enumeration only when configured (and QEMU-style monitors always expose
   // the bus, so the config decides).
-  if (Status s = kernel_->Boot(*spec_.rootfs, spec_.boot_plan.get()); !s.ok()) {
-    kernel_->set_boot_spans(nullptr);
+  if (Status s = kernel_->Boot(*spec_.rootfs); !s.ok()) {
     return s;
-  }
-  for (const auto& phase : kernel_->boot_trace().phases) {
-    report_.phases.push_back(phase);
   }
 
   // Start init (the application-specific startup script).
   auto init = kernel_->StartInit("/sbin/init");
-  kernel_->set_boot_spans(nullptr);
   if (!init.ok()) {
     return init.status();
   }
   init_ = init.value();
-
-  report_.total = 0;
-  for (const auto& phase : report_.phases) {
-    report_.total += phase.duration;
-  }
-  // The init-exec phase was appended by StartInit.
-  report_.phases.push_back(kernel_->boot_trace().phases.back());
-  report_.total += kernel_->boot_trace().phases.back().duration;
-  report_.to_init = report_.total;
+  report_.to_init = report_.monitor + kernel_->boot_trace().Total();
   return Status::Ok();
+}
+
+telemetry::SpanTrace Vm::boot_spans() const {
+  telemetry::SpanTrace spans;
+  if (restored_) {
+    spans.AddPhase("snapshot-restore", report_.to_init);
+  } else if (init_ != nullptr) {
+    spans.AddPhase("monitor:" + spec_.monitor.name, report_.monitor);
+    for (const guestos::BootPhase& phase : kernel_->boot_trace().phases) {
+      spans.AddPhase(phase.name, phase.duration);
+    }
+  }
+  if (main_end_ >= 0) {
+    spans.Record("app-main", main_start_, main_end_);
+  }
+  return spans;
 }
 
 Result<int> Vm::RunToCompletion() {
   if (init_ == nullptr) {
     return Status(Err::kInval, "VM not booted");
   }
-  const Nanos main_start = kernel_->clock().now();
+  main_start_ = kernel_->clock().now();
   size_t blocked = kernel_->Run();
-  spans_.Record("app-main", main_start, kernel_->clock().now());
+  main_end_ = kernel_->clock().now();
   if (kernel_->oom()) {
     return Status(Err::kNoMem, "guest ran out of memory");
   }
@@ -70,6 +67,29 @@ Result<int> Vm::RunToCompletion() {
   }
   return Status(Err::kAgain,
                 std::to_string(blocked) + " guest thread(s) still blocked (server running)");
+}
+
+Result<guestos::Snapshot> Vm::Capture(std::string key, std::string app) const {
+  if (kernel_->panicked()) {
+    return Status(Err::kInval, "cannot snapshot a panicked guest");
+  }
+  if (kernel_->ProcessCount() == 0) {
+    return Status(Err::kInval, "cannot snapshot before init started");
+  }
+  if (spec_.image == nullptr || spec_.rootfs == nullptr) {
+    return Status(Err::kInval, "snapshot needs the kernel image and rootfs blob");
+  }
+  guestos::Snapshot snapshot;
+  snapshot.key = std::move(key);
+  snapshot.app = std::move(app);
+  snapshot.kernel = spec_.image;
+  snapshot.rootfs = spec_.rootfs;
+  snapshot.memory = kernel_->mm().limit();
+  snapshot.captured_bytes = kernel_->mm().peak();
+  snapshot.capture_ns = guestos::SnapshotCaptureCost(kernel_->costs(), snapshot.captured_bytes);
+  snapshot.restore_ns = guestos::SnapshotRestoreCost(kernel_->costs(), snapshot.captured_bytes);
+  snapshot.state_digest = guestos::KernelStateDigest(*kernel_);
+  return snapshot;
 }
 
 Result<std::unique_ptr<Vm>> Vm::Restore(const guestos::Snapshot& snapshot,
@@ -91,7 +111,6 @@ Result<std::unique_ptr<Vm>> Vm::Restore(const guestos::Snapshot& snapshot,
   spec.image = snapshot.kernel;
   spec.rootfs = snapshot.rootfs;
   spec.memory = snapshot.memory;
-  spec.boot_plan = snapshot.boot_plan;
   // No injector is threaded into the replay: the boot being re-materialized
   // is one that completed cleanly at capture time.
   auto vm = std::make_unique<Vm>(std::move(spec), registry);
@@ -108,12 +127,7 @@ Result<std::unique_ptr<Vm>> Vm::Restore(const guestos::Snapshot& snapshot,
   // instance launches at restore cost. No fiber has run yet, so no absolute
   // deadline references the old timeline.
   vm->kernel_->clock().Rewind(snapshot.restore_ns);
-  vm->report_ = BootReport{};
-  vm->report_.phases.push_back({"snapshot-restore", snapshot.restore_ns});
-  vm->report_.total = snapshot.restore_ns;
-  vm->report_.to_init = snapshot.restore_ns;
-  vm->spans_.Clear();
-  vm->spans_.Record("snapshot-restore", 0, snapshot.restore_ns);
+  vm->report_ = BootReport{.monitor = 0, .to_init = snapshot.restore_ns};
   vm->restored_ = true;
   return vm;
 }

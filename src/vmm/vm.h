@@ -1,11 +1,16 @@
 // Vm: a monitor + kernel image + rootfs + RAM, bootable and runnable.
+//
+// Each fact of a boot has one home. The kernel's BootTrace lists the guest
+// phases; the Vm keeps only its monitor phase and to_init (BootReport), and
+// derives the boot's span view from both on demand. A snapshot is taken from
+// the Vm itself (Capture), so it always names the image and rootfs the
+// guest booted.
 #ifndef SRC_VMM_VM_H_
 #define SRC_VMM_VM_H_
 
 #include <functional>
 #include <memory>
 #include <string>
-#include <vector>
 
 #include "src/guestos/kernel.h"
 #include "src/guestos/snapshot.h"
@@ -29,17 +34,16 @@ struct VmSpec {
   // on the same injector continues the fault schedule rather than replaying
   // it). nullptr = no faults.
   FaultInjector* faults = nullptr;
-  // Precomputed image-invariant boot plan shared by every VM booting this
-  // image (KernelCache derives it once per kernel). nullptr = derive at boot.
-  std::shared_ptr<const guestos::BootPlan> boot_plan;
 };
 
-// One boot-time line item, monitor and guest phases interleaved.
+// What a boot adds to the kernel's BootTrace, which holds every guest phase.
 struct BootReport {
-  std::vector<guestos::BootPhase> phases;
-  Nanos total = 0;
+  // The host-side monitor phase, before the guest's first one (0 for a
+  // restored VM).
+  Nanos monitor = 0;
   // Boot time as Firecracker logs it: from monitor start to the guest's
-  // readiness I/O port write (init exec'd).
+  // readiness I/O port write (init exec'd), or the restore cost of a
+  // restored VM.
   Nanos to_init = 0;
 };
 
@@ -60,10 +64,15 @@ class Vm {
   const BootReport& boot_report() const { return report_; }
   const VmSpec& spec() const { return spec_; }
 
-  // The boot as a span trace on the VM's virtual timeline: the monitor span,
-  // every guest phase (decompress ... init-exec), and — once
-  // RunToCompletion ran — an `app-main` span covering the application.
-  const telemetry::SpanTrace& boot_spans() const { return spans_; }
+  // The boot as a span trace on the VM's virtual timeline, built on each
+  // call (bind it to a local before iterating its spans). A booted VM gives
+  // the `monitor:<name>` span from 0, then one span per BootTrace phase
+  // (decompress ... init-exec) back to back up to to_init; a restored VM
+  // gives one `snapshot-restore` span over [0, to_init] instead, and a VM
+  // whose Boot() failed gives none (its guest phases stay in the kernel's
+  // boot_trace()). Once RunToCompletion ran, an `app-main` span covers its
+  // latest run.
+  telemetry::SpanTrace boot_spans() const;
 
   // The guest died of a panic (as opposed to exiting or still serving).
   bool crashed() const { return kernel_->panicked(); }
@@ -77,6 +86,12 @@ class Vm {
   RunResult BootAndRun();
 
   // --- Snapshot/restore boot ------------------------------------------------
+  // Captures this VM's post-init state under the content key `key` (see
+  // core::SnapshotCache::Key) and operator-facing label `app`, from the
+  // kernel image and rootfs it booted. The guest must be booted, not
+  // panicked, and must not have run yet; the snapshot's RAM is this VM's.
+  Result<guestos::Snapshot> Capture(std::string key, std::string app) const;
+
   // Builds a ready-to-run VM from a post-init snapshot at restore cost. The
   // state is re-materialized deterministically (replaying Boot+StartInit of
   // the snapshot's immutable inputs — identical state by construction) and
@@ -105,7 +120,9 @@ class Vm {
   std::unique_ptr<guestos::Kernel> kernel_;
   guestos::Process* init_ = nullptr;
   BootReport report_;
-  telemetry::SpanTrace spans_;
+  // The latest RunToCompletion's virtual run; end < 0 until one ran.
+  Nanos main_start_ = 0;
+  Nanos main_end_ = -1;
   bool restored_ = false;
 };
 

@@ -42,8 +42,7 @@ Result<Snapshot> BootAndCapture(const std::string& app,
   }
   const std::string key = core::SnapshotCache::Key((*artifact)->fingerprint,
                                                    (*artifact)->rootfs_key, kMemory);
-  auto snapshot = CaptureSnapshot(vm->kernel(), key, app, (*artifact)->kernel,
-                                  (*artifact)->boot_plan, (*artifact)->rootfs);
+  auto snapshot = vm->Capture(key, app);
   if (booted != nullptr) {
     *booted = std::move(vm);
   }
@@ -64,9 +63,34 @@ TEST(SnapshotStormTest, CaptureRequiresABootedGuest) {
   auto artifact = Cache().GetOrBuild("redis");
   ASSERT_TRUE(artifact.ok()) << artifact.status().ToString();
   auto vm = (*artifact)->Launch(kMemory);  // Never booted.
-  auto snapshot = CaptureSnapshot(vm->kernel(), "k", "redis", (*artifact)->kernel,
-                                  (*artifact)->boot_plan, (*artifact)->rootfs);
+  auto snapshot = vm->Capture("k", "redis");
   EXPECT_FALSE(snapshot.ok());
+  EXPECT_EQ(snapshot.status().err(), Err::kInval);
+  EXPECT_EQ(snapshot.status().message(), "cannot snapshot before init started");
+
+  auto crashed = (*artifact)->Launch(kMemory);
+  ASSERT_TRUE(crashed->Boot().ok());
+  crashed->kernel().Panic("test");
+  auto dead = crashed->Capture("k", "redis");
+  EXPECT_EQ(dead.status().err(), Err::kInval);
+  EXPECT_EQ(dead.status().message(), "cannot snapshot a panicked guest");
+}
+
+TEST(SnapshotTest, CaptureHoldsTheVmsOwnImageAndRootfs) {
+  auto artifact = Cache().GetOrBuild("redis");
+  ASSERT_TRUE(artifact.ok()) << artifact.status().ToString();
+  auto vm = (*artifact)->Launch(kMemory);
+  ASSERT_TRUE(vm->Boot().ok());
+  auto snapshot = vm->Capture("k", "redis");
+  ASSERT_TRUE(snapshot.ok()) << snapshot.status().ToString();
+  EXPECT_EQ(snapshot->key, "k");
+  EXPECT_EQ(snapshot->app, "redis");
+  EXPECT_EQ(snapshot->kernel, vm->spec().image);
+  EXPECT_EQ(snapshot->rootfs, vm->spec().rootfs);
+  EXPECT_EQ(snapshot->kernel, (*artifact)->kernel);
+  EXPECT_EQ(snapshot->rootfs, (*artifact)->rootfs);
+  EXPECT_EQ(snapshot->memory, kMemory);
+  EXPECT_EQ(snapshot->state_digest, KernelStateDigest(vm->kernel()));
 }
 
 TEST(SnapshotStormTest, RestoreRebasesLaunchCostToRestoreNs) {

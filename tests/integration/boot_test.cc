@@ -45,11 +45,12 @@ TEST(BootIntegrationTest, BootReportPhasesExplainTotal) {
   ASSERT_TRUE(vm.ok());
   ASSERT_TRUE((*vm)->Boot().ok());
   Nanos sum = 0;
-  for (const auto& phase : (*vm)->boot_report().phases) {
-    EXPECT_GE(phase.duration, 0) << phase.name;
-    sum += phase.duration;
+  const telemetry::SpanTrace spans = (*vm)->boot_spans();
+  for (const auto& span : spans.spans()) {
+    EXPECT_GE(span.duration(), 0) << span.name;
+    sum += span.duration();
   }
-  EXPECT_EQ(sum, (*vm)->boot_report().total);
+  EXPECT_EQ(sum, (*vm)->boot_report().to_init);
 }
 
 TEST(BootIntegrationTest, ServersReachReadiness) {

@@ -5,6 +5,7 @@
 #include <algorithm>
 #include <chrono>
 #include <future>
+#include <map>
 #include <mutex>
 #include <string>
 #include <thread>
@@ -178,6 +179,25 @@ TEST(FleetAdmissionTest, EmitsMetricsWhenRegistryInstalled) {
             static_cast<int64_t>(256 * kMiB));
   EXPECT_EQ(registry.GetGauge("admission.peak_committed_bytes").value(),
             static_cast<int64_t>(768 * kMiB));
+}
+
+TEST(FleetAdmissionTest, SetMetricsRegistersEveryCounterAtZero) {
+  telemetry::MetricRegistry registry;
+  FleetAdmissionController controller({1 * kGiB});
+  controller.set_metrics(&registry);
+  Grant a = controller.Admit({"a", 512 * kMiB, 0});
+  ASSERT_TRUE(a.valid());
+  EXPECT_FALSE(a.waited());
+  std::map<std::string, uint64_t> counters;
+  for (const auto& sample : registry.Collect().counters) {
+    counters[sample.name] = sample.value;
+  }
+  EXPECT_EQ(counters, (std::map<std::string, uint64_t>{{"admission.admitted", 1},
+                                                       {"admission.degraded", 0},
+                                                       {"admission.queued", 0},
+                                                       {"admission.rejected", 0},
+                                                       {"admission.requests", 1},
+                                                       {"admission.try_denied", 0}}));
 }
 
 // tsan leg: many threads admit/hold/release against a tight budget; the

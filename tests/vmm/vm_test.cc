@@ -28,15 +28,56 @@ TEST(VmTest, BootProducesPhaseReport) {
   Vm vm(HelloSpec());
   ASSERT_TRUE(vm.Boot().ok());
   const BootReport& report = vm.boot_report();
-  EXPECT_GT(report.total, 0);
-  EXPECT_EQ(report.total, report.to_init);
-  ASSERT_FALSE(report.phases.empty());
-  EXPECT_EQ(report.phases.front().name, "monitor:firecracker");
+  EXPECT_GT(report.to_init, 0);
+  EXPECT_EQ(report.monitor + vm.kernel().boot_trace().Total(), report.to_init);
+  const telemetry::SpanTrace spans = vm.boot_spans();
+  ASSERT_FALSE(spans.empty());
+  EXPECT_EQ(spans.spans().front().name, "monitor:firecracker");
   Nanos sum = 0;
-  for (const auto& phase : report.phases) {
-    sum += phase.duration;
+  for (const auto& span : spans.spans()) {
+    sum += span.duration();
   }
-  EXPECT_EQ(sum, report.total);
+  EXPECT_EQ(sum, report.to_init);
+}
+
+// boot_spans() is derived from the monitor phase and the kernel's BootTrace:
+// a cold boot's spans run back to back from 0 to to_init, app-main follows
+// a run, and a restore replaces the whole boot with one snapshot-restore.
+TEST(VmTest, BootSpansFollowTheBootTrace) {
+  Vm vm(HelloSpec());
+  ASSERT_TRUE(vm.Boot().ok());
+  const std::vector<guestos::BootPhase>& phases = vm.kernel().boot_trace().phases;
+  const telemetry::SpanTrace cold = vm.boot_spans();
+  ASSERT_EQ(cold.spans().size(), phases.size() + 1);
+  EXPECT_EQ(cold.spans()[0].name, "monitor:firecracker");
+  EXPECT_EQ(cold.spans()[0].start, 0);
+  EXPECT_EQ(cold.spans()[0].end, vm.boot_report().monitor);
+  for (size_t i = 0; i < phases.size(); ++i) {
+    SCOPED_TRACE(phases[i].name);
+    const telemetry::Span& span = cold.spans()[i + 1];
+    EXPECT_EQ(span.name, phases[i].name);
+    EXPECT_EQ(span.start, cold.spans()[i].end);
+    EXPECT_EQ(span.duration(), phases[i].duration);
+  }
+  EXPECT_EQ(phases.back().name, "init-exec");
+  EXPECT_EQ(cold.spans().back().end, vm.boot_report().to_init);
+
+  auto snapshot = vm.Capture("k", "hello-world");
+  ASSERT_TRUE(snapshot.ok()) << snapshot.status().ToString();
+  ASSERT_TRUE(vm.RunToCompletion().ok());
+  const telemetry::SpanTrace ran = vm.boot_spans();
+  ASSERT_EQ(ran.spans().size(), cold.spans().size() + 1);
+  EXPECT_EQ(ran.spans().back().name, "app-main");
+  EXPECT_EQ(ran.spans().back().start, vm.boot_report().to_init);
+  EXPECT_EQ(ran.spans().back().end, vm.kernel().clock().now());
+
+  auto restored = Vm::Restore(*snapshot);
+  ASSERT_TRUE(restored.ok()) << restored.status().ToString();
+  const telemetry::SpanTrace restore = (*restored)->boot_spans();
+  ASSERT_EQ(restore.spans().size(), 1u);
+  EXPECT_EQ(restore.spans()[0].name, "snapshot-restore");
+  EXPECT_EQ(restore.spans()[0].start, 0);
+  EXPECT_EQ(restore.spans()[0].end, snapshot->restore_ns);
 }
 
 TEST(VmTest, HelloRunsToCompletion) {
@@ -55,6 +96,7 @@ TEST(VmTest, RunWithoutBootFails) {
 TEST(VmTest, InsufficientMemoryFailsBoot) {
   Vm vm(HelloSpec(2 * kMiB));
   EXPECT_FALSE(vm.Boot().ok());
+  EXPECT_TRUE(vm.boot_spans().empty());
 }
 
 TEST(MinMemoryProbeTest, FindsThreshold) {
